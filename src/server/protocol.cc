@@ -130,6 +130,19 @@ StatusOr<Message> DecodeMessage(std::string_view payload) {
   return message;
 }
 
+bool ParseU64(std::string_view text, uint64_t* value) {
+  if (text.empty() || text.size() > 20) return false;
+  uint64_t result = 0;
+  for (char c : text) {
+    if (c < '0' || c > '9') return false;
+    uint64_t digit = static_cast<uint64_t>(c - '0');
+    if (result > (UINT64_MAX - digit) / 10) return false;
+    result = result * 10 + digit;
+  }
+  *value = result;
+  return true;
+}
+
 Status ValidateSocketPath(const std::string& path) {
   if (path.empty()) {
     return InvalidArgumentError("socket path must not be empty");

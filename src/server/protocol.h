@@ -68,6 +68,10 @@ struct Message {
 std::string EncodeMessage(const Message& message);
 StatusOr<Message> DecodeMessage(std::string_view payload);
 
+// Strict decimal uint64 — no sign, no whitespace, no trailing bytes —
+// for every id field on the wire and in the session journal.
+bool ParseU64(std::string_view text, uint64_t* value);
+
 // Validates a unix socket path against sockaddr_un::sun_path capacity.
 // kInvalidArgument (CLI exit-code analogue 64) with a diagnostic naming
 // the limit for empty or over-long paths; binding an over-long path would

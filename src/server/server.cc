@@ -33,14 +33,6 @@ namespace folearn {
 
 namespace {
 
-// Substantive operations count against max_inflight; control-plane ops
-// (ping, stats, get-model, list-models, close-session, shutdown) are
-// always admitted so a loaded server stays observable and stoppable.
-bool IsSubstantive(const std::string& op) {
-  return op == "learn" || op == "evaluate" || op == "query" ||
-         op == "load-graph";
-}
-
 Message MakeError(int code, std::string_view message) {
   Message response;
   response.Set("status", kStatusError);
@@ -60,14 +52,11 @@ Message MakeOk() {
   return response;
 }
 
-// Maps an AcquireSession failure: an id that is neither live nor
-// journaled is a usage error (the CLI-exit-64 analogue); a corrupt or
-// unreadable journal keeps its own status semantics (65 / 1).
-Message MakeSessionError(uint64_t id, const Status& status) {
-  if (status.code() == StatusCode::kNotFound) {
-    return MakeError(kExitUsage, "unknown session " + std::to_string(id));
-  }
-  return MakeErrorFromStatus(status);
+// A governor trip: the request ran, the payload is best-so-far.
+void MarkPartial(Message* response, RunStatus status) {
+  response->Set("status", kStatusPartial);
+  response->Set("code", "3");
+  response->Set("run-status", RunStatusName(status));
 }
 
 int64_t NowMs() {
@@ -110,17 +99,51 @@ bool ParseIntField(const Message& request, const char* key, int fallback,
   return true;
 }
 
-// Strict decimal uint64 (model ids, session ids in journal fields).
-bool ParseU64(std::string_view text, uint64_t* value) {
-  if (text.empty() || text.size() > 20) return false;
-  uint64_t result = 0;
-  for (char c : text) {
-    if (c < '0' || c > '9') return false;
-    uint64_t digit = static_cast<uint64_t>(c - '0');
-    if (result > (UINT64_MAX - digit) / 10) return false;
-    result = result * 10 + digit;
+// Resolves the "model-id" field; the caller has established it is present.
+bool ParseModelIdField(const Message& request, uint64_t* model_id,
+                       Message* error_response) {
+  const std::string raw = request.Get("model-id");
+  if (!ParseU64(raw, model_id)) {
+    *error_response =
+        MakeError(kExitUsage, "invalid model id '" + raw + "'");
+    return false;
   }
-  *value = result;
+  return true;
+}
+
+// Parses a whitespace-separated vertex tuple ("3 17 4").
+bool ParseTupleField(const std::string& text, std::vector<Vertex>* tuple,
+                     std::string* error) {
+  tuple->clear();
+  size_t pos = 0;
+  while (pos < text.size()) {
+    while (pos < text.size() && (text[pos] == ' ' || text[pos] == '\t')) {
+      ++pos;
+    }
+    if (pos >= text.size()) break;
+    size_t end = pos;
+    while (end < text.size() && text[end] != ' ' && text[end] != '\t') {
+      ++end;
+    }
+    try {
+      size_t used = 0;
+      const std::string token = text.substr(pos, end - pos);
+      long long value = std::stoll(token, &used);
+      if (used != token.size() || value < 0) {
+        throw std::invalid_argument(token);
+      }
+      tuple->push_back(static_cast<Vertex>(value));
+    } catch (const std::exception&) {
+      *error = "invalid vertex '" + text.substr(pos, end - pos) +
+               "' in field 'tuple'";
+      return false;
+    }
+    pos = end;
+  }
+  if (tuple->empty()) {
+    *error = "field 'tuple' names no vertices";
+    return false;
+  }
   return true;
 }
 
@@ -139,6 +162,38 @@ Status ValidateTuples(const Graph& graph, const TrainingSet& examples) {
         return DataLossError("example names vertex " + std::to_string(v) +
                              " outside the session graph (order " +
                              std::to_string(graph.order()) + ")");
+      }
+    }
+  }
+  return OkStatus();
+}
+
+// The model must fit the session graph and the tuples it classifies: its
+// parameters are vertices of the graph, every tuple has the model's arity
+// k and names only vertices of the graph. `noun` names the tuples in the
+// diagnostic ("example", "tuple").
+Status CheckModelFits(const Hypothesis& hypothesis, const Graph& graph,
+                      std::span<const std::span<const Vertex>> tuples,
+                      const char* noun) {
+  for (Vertex w : hypothesis.parameters) {
+    if (!graph.IsValidVertex(w)) {
+      return DataLossError("model parameter vertex " + std::to_string(w) +
+                           " outside the session graph");
+    }
+  }
+  const int k = hypothesis.k();
+  for (std::span<const Vertex> tuple : tuples) {
+    if (static_cast<int>(tuple.size()) != k) {
+      return DataLossError(std::string(noun) + " arity " +
+                           std::to_string(tuple.size()) +
+                           " does not match the model's k=" +
+                           std::to_string(k));
+    }
+    for (Vertex v : tuple) {
+      if (!graph.IsValidVertex(v)) {
+        return DataLossError(std::string(noun) + " names vertex " +
+                             std::to_string(v) +
+                             " outside the session graph");
       }
     }
   }
@@ -197,6 +252,14 @@ int64_t ApproxRecordBytes(const SessionRecord& record) {
   return bytes;
 }
 
+// One evaluation run of RequestContext::RunGoverned.
+struct EvalRun {
+  CachedPlan cached;           // the plan that ran
+  std::vector<bool> verdicts;  // one per tuple evaluated before any trip
+  bool interrupted = false;    // a governor trip cut the run short
+  double exec_ms = 0.0;        // wall time of the evaluations
+};
+
 }  // namespace
 
 // Per-session state kept warm across requests. All fields are guarded by
@@ -239,9 +302,20 @@ struct Server::Session {
     int64_t evals = 0;             // example/tuple evaluations so far
     double exec_ms = 0.0;          // cumulative evaluation wall time
     double lower_ms = 0.0;         // bytecode lowering cost (VM, once)
-    std::string engine;            // engine of the most recent evaluation
     int64_t vm_instructions = 0;   // fast-lane program size (VM only)
     int64_t vm_superinstructions = 0;
+
+    // Folds `count` evaluations of `run` into the telemetry.
+    void RecordEvals(int64_t count, const EvalRun& run) {
+      evals += count;
+      exec_ms += run.exec_ms;
+      lower_ms = run.cached.lower_ms;
+      const LoweredPlan* bytecode = run.cached.bytecode.get();
+      if (bytecode != nullptr && bytecode->supported) {
+        vm_instructions = static_cast<int64_t>(bytecode->fast.code.size());
+        vm_superinstructions = bytecode->superinstructions;
+      }
+    }
   };
   std::map<uint64_t, ModelEntry> models;  // ordered: stable listing/journal
   uint64_t next_model_id = 1;
@@ -257,6 +331,12 @@ struct Server::Session {
   // Bytes of the last journaled record charged against `mem` (the durable
   // state is part of the session's footprint; re-charged on every save).
   int64_t journal_charged = 0;
+
+  void ChargeJournal(int64_t bytes) {
+    mem->Release(journal_charged);
+    journal_charged = bytes;
+    mem->Charge(bytes);
+  }
 
   // Warm per-graph evaluators, keyed by plan identity (the plan cache
   // hands out stable shared_ptrs; a recompiled plan gets a fresh
@@ -299,6 +379,146 @@ struct Server::Session {
   std::mutex mu;
 };
 
+// What one request's handler works with. Dispatch resolves the session
+// before the handler runs; the handler parses the governor limits itself,
+// at the point of its validation order where a malformed deadline-ms or
+// max-work is reported, and the governor is built on first use.
+struct Server::RequestContext {
+  RequestContext(const Message& request, const ServerOptions& options)
+      : request(request), options(options) {}
+
+  const Message& request;
+  const ServerOptions& options;
+  // The "session" field, when present and strict decimal.
+  std::optional<uint64_t> session_id;
+  // The warm session of a SessionUse::kLive op.
+  std::shared_ptr<Session> session;
+  // Governor limits; learn adds its memory budget before Governor().
+  GovernorLimits limits;
+  bool governed = false;
+  std::optional<ResourceGovernor> governor;  // see Governor()
+
+  // Parses deadline-ms / max-work into `limits`. Server caps clamp the
+  // request; with a cap set, a request asking for nothing still runs
+  // capped — the caps are the operator's protection against a tenant
+  // monopolising the daemon. False with a code-64 *error on a malformed
+  // value.
+  bool ParseLimits(Message* error) {
+    int64_t deadline_ms = kNoLimit;
+    int64_t max_work = kNoLimit;
+    std::string problem;
+    if (ParseInt64Field(request, "deadline-ms", kNoLimit, &deadline_ms,
+                        &problem) &&
+        ParseInt64Field(request, "max-work", kNoLimit, &max_work,
+                        &problem)) {
+      if (deadline_ms != kNoLimit && deadline_ms < 0) {
+        problem = "field 'deadline-ms' must be >= 0";
+      } else if (max_work != kNoLimit && max_work <= 0) {
+        problem = "field 'max-work' must be positive";
+      }
+    }
+    if (!problem.empty()) {
+      *error = MakeError(kExitUsage, problem);
+      return false;
+    }
+    const auto clamp = [](int64_t value, int64_t cap) {
+      return cap != kNoLimit && (value == kNoLimit || value > cap) ? cap
+                                                                   : value;
+    };
+    limits.deadline_ms = clamp(deadline_ms, options.max_deadline_ms);
+    limits.max_work = clamp(max_work, options.max_work);
+    governed = limits.deadline_ms != kNoLimit || limits.max_work != kNoLimit;
+    return true;
+  }
+
+  // The request's governor, built from `limits` on first use (its clock
+  // starts then); nullptr when nothing limits the request.
+  ResourceGovernor* Governor() {
+    if (governed && !governor.has_value()) governor.emplace(limits);
+    return governor.has_value() ? &*governor : nullptr;
+  }
+
+  // Appends work-used when the request ran governed.
+  void AddWorkUsed(Message* response) const {
+    if (governor.has_value()) {
+      response->Set("work-used", std::to_string(governor->work_used()));
+    }
+  }
+
+  // Evaluate/query options; plans compile under these (no governor).
+  EvalOptions ServingEvalOptions() const {
+    EvalOptions eval_options;
+    eval_options.missing_color_is_false = true;  // external model files
+    eval_options.engine = options.eval_engine;
+    return eval_options;
+  }
+
+  // A registered model handle of the session; with `parse`, its
+  // hypothesis is parsed on first use after a re-warm. The caller holds
+  // the session lock. Null with *error on an unknown id (code 64) or an
+  // unparsable journaled model (code 65).
+  Session::ModelEntry* ResolveModel(uint64_t model_id, Message* error,
+                                    bool parse = true) {
+    auto it = session->models.find(model_id);
+    if (it == session->models.end()) {
+      *error = MakeError(kExitUsage, "unknown model-id " +
+                                         std::to_string(model_id) +
+                                         " in session " +
+                                         std::to_string(*session_id));
+      return nullptr;
+    }
+    Session::ModelEntry& entry = it->second;
+    if (parse && !entry.parsed.has_value()) {
+      StatusOr<Hypothesis> reparsed = ParseHypothesis(entry.text);
+      if (!reparsed.ok()) {
+        *error = MakeErrorFromStatus(DataLossError(
+            "journaled model " + std::to_string(model_id) +
+            " does not parse: " + reparsed.status().message()));
+        return nullptr;
+      }
+      entry.parsed = *std::move(reparsed);
+    }
+    return &entry;
+  }
+
+  // The evaluation core of evaluate and query: evaluates `cached` on
+  // tuple ++ params for each tuple, in order, under the request's
+  // governor. Ungoverned runs use the session's warm evaluator (and its
+  // per-graph memo); a governed run uses a throwaway one so the warm
+  // evaluator never observes a trip. A trip stops the run and marks
+  // `response` partial. The caller holds the session lock.
+  EvalRun RunGoverned(const CachedPlan& cached,
+                      std::span<const Vertex> params,
+                      std::span<const std::span<const Vertex>> tuples,
+                      Message* response) {
+    EvalOptions eval_options = ServingEvalOptions();
+    ResourceGovernor* governor = Governor();
+    eval_options.governor = governor;
+    std::optional<EngineEvaluator> scratch;
+    EngineEvaluator* evaluator =
+        governor != nullptr
+            ? &scratch.emplace(cached, session->graph, eval_options)
+            : session->WarmEvaluator(cached, eval_options);
+    EvalRun run;
+    run.cached = cached;
+    std::vector<Vertex> env;
+    const auto exec_start = std::chrono::steady_clock::now();
+    for (std::span<const Vertex> tuple : tuples) {
+      env.assign(tuple.begin(), tuple.end());
+      env.insert(env.end(), params.begin(), params.end());
+      const bool verdict = evaluator->Eval(env);
+      if (governor != nullptr && governor->Interrupted()) {
+        run.interrupted = true;
+        break;
+      }
+      run.verdicts.push_back(verdict);
+    }
+    run.exec_ms = MsSince(exec_start);
+    if (run.interrupted) MarkPartial(response, governor->status());
+    return run;
+  }
+};
+
 Server::Server(ServerOptions options)
     : options_(std::move(options)),
       mem_budget_(options_.mem_budget_bytes),
@@ -315,12 +535,12 @@ Server::Server(ServerOptions options)
   plan_cache_.set_read_through(&cache_read_through_);
   // A pinned tier gates requests from the very first dispatch, before the
   // watchdog's first tick.
+  options_.force_tier = std::min(options_.force_tier,
+                                 static_cast<int>(PressureTier::kBlack));
   if (options_.force_tier >= 0) {
-    tier_.store(std::min(options_.force_tier,
-                         static_cast<int>(PressureTier::kBlack)),
-                std::memory_order_relaxed);
-    cache_read_through_.store(
-        CurrentTier() >= PressureTier::kYellow, std::memory_order_relaxed);
+    tier_.store(options_.force_tier, std::memory_order_relaxed);
+    cache_read_through_.store(CurrentTier() >= PressureTier::kYellow,
+                              std::memory_order_relaxed);
   }
 }
 
@@ -428,19 +648,26 @@ void Server::Serve() {
     if ((fds[0].revents & POLLIN) == 0) continue;
     int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) continue;
-    std::lock_guard<std::mutex> lock(mu_);
-    connections_.emplace_back([this, fd] { ConnectionLoop(fd); });
+    // Every client call is typically its own connection: join finished
+    // connection threads as we go, or each would pin its stack until
+    // shutdown.
+    connections_.remove_if([](Connection& connection) {
+      if (!connection.done.load(std::memory_order_acquire)) return false;
+      connection.thread.join();
+      return true;
+    });
+    Connection& connection = connections_.emplace_back();
+    connection.thread = std::thread([this, fd, &connection] {
+      ConnectionLoop(fd);
+      connection.done.store(true, std::memory_order_release);
+    });
   }
   // Drain: no new connections; unblock in-flight reads; join everything.
   ::close(listen_fd_);
   listen_fd_ = -1;
   ::unlink(options_.socket_path.c_str());
-  std::vector<std::thread> connections;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    connections.swap(connections_);
-  }
-  for (std::thread& thread : connections) thread.join();
+  for (Connection& connection : connections_) connection.thread.join();
+  connections_.clear();
   stopping_.store(true, std::memory_order_release);
   if (watchdog_.joinable()) watchdog_.join();
 }
@@ -469,14 +696,11 @@ void Server::UpdatePressure() {
   // their pages are reclaimable, which is exactly why mmap-backed
   // load-graph stays admitted under pressure).
   const int64_t used = std::max(accounted, rss);
-  PressureTier tier;
-  if (options_.force_tier >= 0) {
-    tier = static_cast<PressureTier>(std::min(
-        options_.force_tier, static_cast<int>(PressureTier::kBlack)));
-  } else {
-    tier = ClassifyPressure(used, options_.mem_budget_bytes,
-                            options_.pressure);
-  }
+  const PressureTier tier =
+      options_.force_tier >= 0
+          ? static_cast<PressureTier>(options_.force_tier)
+          : ClassifyPressure(used, options_.mem_budget_bytes,
+                             options_.pressure);
   const auto previous = static_cast<PressureTier>(tier_.exchange(
       static_cast<int>(tier), std::memory_order_relaxed));
   // Yellow and above: caches serve hits but stop growing.
@@ -524,29 +748,22 @@ void Server::EvictWarmStateUnderPressure() {
   int64_t evicted = 0;
   for (auto& [last_used, slot] : idle) {
     if (target > 0 && mem_budget_.used() <= target) break;
-    std::unique_lock<std::mutex> slot_lock(slot->mu, std::try_to_lock);
-    if (!slot_lock.owns_lock()) continue;  // busy: next tick
-    if (slot->live == nullptr) continue;   // already cold
-    // Same safety argument as EvictIdleSessions: use_count == 1 under the
-    // slot lock means no request holds the session.
-    if (slot->live.use_count() != 1) continue;
-    if (slot->journaled) {
-      // Demote to cold; re-warms lazily from the journal on next use.
-      slot->live.reset();
-    } else {
-      // Memory-only sessions must keep graph + models (dropping them is
-      // data loss, which red never inflicts); shed the rebuildable warm
-      // state instead.
-      std::lock_guard<std::mutex> session_lock(slot->live->mu);
-      slot->live->evaluators.clear();
-      slot->live->ball_cache.Clear();
-    }
-    ++evicted;
+    // Memory-only sessions keep graph + models: dropping them is data
+    // loss, which red never inflicts.
+    if (DemoteSlot(*slot, INT64_MAX, /*drop_memory_only=*/false)) ++evicted;
   }
   if (evicted > 0) BumpStat(&ServerStats::warm_evictions, evicted);
 }
 
-void Server::AttachSessionMemory(Session* session) {
+std::shared_ptr<Server::Session> Server::NewSession(uint64_t id, Graph graph,
+                                                   std::string graph_text,
+                                                   std::string graph_file,
+                                                   uint64_t fingerprint) {
+  auto session = std::make_shared<Session>(
+      std::move(graph), std::move(graph_text), options_.ball_cache_bytes);
+  session->id = id;
+  session->graph_file = std::move(graph_file);
+  session->graph_fingerprint = fingerprint;
   session->mem = std::make_unique<MemBudget>(
       options_.session_mem_bytes == kNoLimit ? kNoMemLimit
                                              : options_.session_mem_bytes,
@@ -563,6 +780,7 @@ void Server::AttachSessionMemory(Session* session) {
   const int64_t graph_share =
       static_cast<int64_t>(session->graph_text.size());
   if (graph_share > 0) session->mem->Charge(graph_share);
+  return session;
 }
 
 void Server::ConnectionLoop(int fd) {
@@ -605,64 +823,95 @@ void Server::ConnectionLoop(int fd) {
   ::close(fd);
 }
 
+// The single list of protocol operations.
+const Server::Op Server::kOps[] = {
+    {"ping", false, SessionUse::kNone, &Server::HandlePing},
+    {"load-graph", true, SessionUse::kNone, &Server::HandleLoadGraph},
+    {"close-session", false, SessionUse::kId, &Server::HandleCloseSession},
+    {"learn", true, SessionUse::kLive, &Server::HandleLearn},
+    {"evaluate", true, SessionUse::kLive, &Server::HandleEvaluate},
+    {"query", true, SessionUse::kLive, &Server::HandleQuery},
+    {"get-model", false, SessionUse::kLive, &Server::HandleGetModel},
+    {"list-models", false, SessionUse::kLive, &Server::HandleListModels},
+    {"stats", false, SessionUse::kNone, &Server::HandleStats},
+    {"shutdown", false, SessionUse::kNone, &Server::HandleShutdown},
+};
+
 Message Server::Dispatch(const Message& request) {
-  const std::string op = request.Get("op");
-  const bool substantive = IsSubstantive(op);
-  // Black tier: memory is critically scarce, so every substantive request
-  // is shed retry-safe (status=shed, the client's existing retry
-  // classification) while heartbeats, stats, close-session and shutdown —
-  // the ops that observe, relieve, or end the pressure — stay admitted.
-  if (substantive && CurrentTier() == PressureTier::kBlack) {
-    Message response;
-    response.Set("status", kStatusShed);
-    response.Set("code", std::to_string(kExitTempFail));
-    response.Set("tier", PressureTierName(PressureTier::kBlack));
-    response.Set("error",
-                 "memory pressure (black): serving heartbeats only; "
-                 "retry the request");
-    BumpStat(&ServerStats::mem_shed);
-    RecordOutcome(response);
-    return response;
+  const std::string op_name = request.Get("op");
+  const Op* op = nullptr;
+  for (const Op& candidate : kOps) {
+    if (op_name == candidate.name) op = &candidate;
   }
-  if (substantive) {
-    int current = inflight_.fetch_add(1, std::memory_order_acq_rel) + 1;
-    if (current > options_.max_inflight) {
-      inflight_.fetch_sub(1, std::memory_order_acq_rel);
-      Message response;
-      response.Set("status", kStatusShed);
-      response.Set("code", "3");
-      response.Set("error",
-                   "server at max-inflight capacity; retry the request");
-      RecordOutcome(response);
-      return response;
+  const bool substantive = op != nullptr && op->substantive;
+  // Resolves the session the op takes, then runs its handler.
+  const auto run = [&]() -> Message {
+    if (op == nullptr) {
+      return MakeError(kExitUsage, "unknown op '" + op_name + "'");
     }
-  }
+    RequestContext ctx(request, options_);
+    const std::string* raw = request.Find("session");
+    if (uint64_t id = 0; raw != nullptr && ParseU64(*raw, &id)) {
+      ctx.session_id = id;
+    }
+    if (op->session != SessionUse::kNone) {
+      if (raw == nullptr) {
+        return MakeError(kExitUsage, "request requires a 'session' field");
+      }
+      if (!ctx.session_id.has_value()) {
+        return MakeError(kExitUsage, "invalid session id '" + *raw + "'");
+      }
+    }
+    if (op->session == SessionUse::kLive) {
+      StatusOr<std::shared_ptr<Session>> acquired =
+          AcquireSession(*ctx.session_id);
+      if (!acquired.ok()) {
+        // An id that is neither live nor journaled is a usage error; a
+        // corrupt or unreadable journal keeps its own status semantics.
+        const Status& status = acquired.status();
+        return MakeError(status.code() == StatusCode::kNotFound
+                             ? kExitUsage
+                             : StatusExitCode(status),
+                         status.message());
+      }
+      ctx.session = *std::move(acquired);
+    }
+    return (this->*op->handler)(ctx);
+  };
   Message response;
-  if (op == "ping") {
-    response = HandlePing(request);
-  } else if (op == "load-graph") {
-    response = HandleLoadGraph(request);
-  } else if (op == "close-session") {
-    response = HandleCloseSession(request);
-  } else if (op == "learn") {
-    response = HandleLearn(request);
-  } else if (op == "evaluate") {
-    response = HandleEvaluate(request);
-  } else if (op == "query") {
-    response = HandleQuery(request);
-  } else if (op == "get-model") {
-    response = HandleGetModel(request);
-  } else if (op == "list-models") {
-    response = HandleListModels(request);
-  } else if (op == "stats") {
-    response = HandleStats(request);
-  } else if (op == "shutdown") {
-    response = MakeOk();
+  if (substantive && CurrentTier() == PressureTier::kBlack) {
+    // Black tier: memory is critically scarce, so every substantive
+    // request is shed retry-safe while heartbeats, stats, close-session
+    // and shutdown — the ops that observe, relieve, or end the pressure —
+    // stay admitted.
+    response = MakeShed(
+        "memory pressure (black): serving heartbeats only; retry the "
+        "request",
+        PressureTier::kBlack);
+  } else if (substantive &&
+             inflight_.fetch_add(1, std::memory_order_acq_rel) >=
+                 options_.max_inflight) {
+    inflight_.fetch_sub(1, std::memory_order_acq_rel);
+    response = MakeShed("server at max-inflight capacity; retry the request");
   } else {
-    response = MakeError(kExitUsage, "unknown op '" + op + "'");
+    response = run();
+    if (substantive) inflight_.fetch_sub(1, std::memory_order_acq_rel);
   }
-  if (substantive) inflight_.fetch_sub(1, std::memory_order_acq_rel);
   RecordOutcome(response);
+  return response;
+}
+
+Message Server::MakeShed(std::string_view error,
+                         std::optional<PressureTier> tier) {
+  Message response;
+  response.Set("status", kStatusShed);
+  response.Set("code", tier.has_value() ? std::to_string(kExitTempFail)
+                                        : std::string("3"));
+  if (tier.has_value()) {
+    response.Set("tier", PressureTierName(*tier));
+    BumpStat(&ServerStats::mem_shed);
+  }
+  response.Set("error", error);
   return response;
 }
 
@@ -686,23 +935,18 @@ void Server::BumpStat(int64_t ServerStats::*counter, int64_t delta) {
   stats_.*counter += delta;
 }
 
-Message Server::HandlePing(const Message& request) {
+Message Server::HandlePing(RequestContext& ctx) {
   Message response = MakeOk();
-  response.Set("payload", request.Get("payload"));
+  response.Set("payload", ctx.request.Get("payload"));
   // Heartbeat: a ping naming a session refreshes its idle clock without
   // re-warming a cold slot (no graph parse on the control plane).
-  const std::string* raw = request.Find("session");
-  if (raw != nullptr) {
-    uint64_t id = 0;
-    bool known = false;
-    if (ParseU64(*raw, &id)) {
-      std::shared_ptr<SessionSlot> slot = FindSlot(id);
-      if (slot != nullptr) {
-        slot->last_used_ms.store(NowMs(), std::memory_order_relaxed);
-        known = true;
-      }
+  if (ctx.request.Has("session")) {
+    std::shared_ptr<SessionSlot> slot =
+        ctx.session_id.has_value() ? FindSlot(*ctx.session_id) : nullptr;
+    if (slot != nullptr) {
+      slot->last_used_ms.store(NowMs(), std::memory_order_relaxed);
     }
-    response.Set("session-known", known ? "1" : "0");
+    response.Set("session-known", slot != nullptr ? "1" : "0");
   }
   return response;
 }
@@ -715,25 +959,23 @@ std::shared_ptr<Server::SessionSlot> Server::FindSlot(uint64_t id) {
 
 StatusOr<std::shared_ptr<Server::Session>> Server::AcquireSession(
     uint64_t id) {
-  std::shared_ptr<SessionSlot> slot = FindSlot(id);
-  if (slot == nullptr) {
+  const auto unknown = [id] {
     return NotFoundError("unknown session " + std::to_string(id));
-  }
+  };
+  std::shared_ptr<SessionSlot> slot = FindSlot(id);
+  if (slot == nullptr) return unknown();
   slot->last_used_ms.store(NowMs(), std::memory_order_relaxed);
   std::lock_guard<std::mutex> slot_lock(slot->mu);
   if (slot->live != nullptr) return slot->live;
-  if (!slot->journaled) {
-    return NotFoundError("unknown session " + std::to_string(id));
-  }
+  if (!slot->journaled) return unknown();
   // Cold journaled slot: re-warm from the store. The journal is our own
   // acknowledged output, so corruption here is real data loss and is
   // reported as such, not masked as "unknown session".
   StatusOr<SessionRecord> record = store_.Load(id);
   if (!record.ok()) {
-    if (record.status().code() == StatusCode::kNotFound) {
-      return NotFoundError("unknown session " + std::to_string(id));
-    }
-    return record.status();
+    return record.status().code() == StatusCode::kNotFound
+               ? unknown()
+               : record.status();
   }
   StatusOr<Graph> graph = [&]() -> StatusOr<Graph> {
     if (record->graph_file.empty()) return ParseGraph(record->graph_text);
@@ -756,12 +998,9 @@ StatusOr<std::shared_ptr<Server::Session>> Server::AcquireSession(
                          " does not load: " + graph.status().message());
   }
   const int64_t record_bytes = ApproxRecordBytes(*record);
-  auto session = std::make_shared<Session>(*std::move(graph),
-                                           std::move(record->graph_text),
-                                           options_.ball_cache_bytes);
-  session->id = id;
-  session->graph_file = std::move(record->graph_file);
-  session->graph_fingerprint = record->graph_fingerprint;
+  std::shared_ptr<Session> session = NewSession(
+      id, *std::move(graph), std::move(record->graph_text),
+      std::move(record->graph_file), record->graph_fingerprint);
   session->next_model_id = record->next_model_id;
   for (auto& [model_id, text] : record->models) {
     session->models.emplace(model_id,
@@ -770,39 +1009,22 @@ StatusOr<std::shared_ptr<Server::Session>> Server::AcquireSession(
   for (auto& entry : record->learns) {
     session->learn_dedup.push_back(std::move(entry));
   }
-  AttachSessionMemory(session.get());
-  session->journal_charged = record_bytes;
-  session->mem->Charge(record_bytes);
+  session->ChargeJournal(record_bytes);
   slot->live = session;
   BumpStat(&ServerStats::sessions_rewarmed);
   return session;
 }
 
-Status Server::JournalSession(uint64_t id, const Session& session) {
-  (void)id;
-  if (!store_.enabled() || session.closed) return OkStatus();
-  return store_.Save(session.ToRecord());
-}
-
 void Server::EvictIdleSessions() {
-  const int64_t now = NowMs();
+  const int64_t idle_before = NowMs() - options_.session_ttl_ms;
   std::vector<uint64_t> to_erase;
   int64_t evicted = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
     for (auto& [id, slot] : sessions_) {
-      std::unique_lock<std::mutex> slot_lock(slot->mu, std::try_to_lock);
-      if (!slot_lock.owns_lock()) continue;  // busy: try next sweep
-      if (slot->live == nullptr) continue;   // already cold
-      if (now - slot->last_used_ms.load(std::memory_order_relaxed) <=
-          options_.session_ttl_ms) {
+      if (!DemoteSlot(*slot, idle_before, /*drop_memory_only=*/true)) {
         continue;
       }
-      // use_count == 1 under the slot lock means no handler holds the
-      // session and none can acquire it while we hold the lock — the
-      // eviction cannot yank state from under an in-flight request.
-      if (slot->live.use_count() != 1) continue;
-      slot->live.reset();
       ++evicted;
       if (!slot->journaled) to_erase.push_back(id);
     }
@@ -811,7 +1033,30 @@ void Server::EvictIdleSessions() {
   if (evicted > 0) BumpStat(&ServerStats::sessions_evicted, evicted);
 }
 
-Message Server::HandleLoadGraph(const Message& request) {
+bool Server::DemoteSlot(SessionSlot& slot, int64_t idle_before,
+                        bool drop_memory_only) {
+  std::unique_lock<std::mutex> slot_lock(slot.mu, std::try_to_lock);
+  if (!slot_lock.owns_lock()) return false;  // busy: next sweep
+  if (slot.live == nullptr) return false;    // already cold
+  if (slot.last_used_ms.load(std::memory_order_relaxed) >= idle_before) {
+    return false;
+  }
+  // use_count == 1 under the slot lock means no handler holds the session
+  // and none can acquire it while we hold the lock — the demotion cannot
+  // yank state from under an in-flight request.
+  if (slot.live.use_count() != 1) return false;
+  if (slot.journaled || drop_memory_only) {
+    slot.live.reset();
+  } else {
+    std::lock_guard<std::mutex> session_lock(slot.live->mu);
+    slot.live->evaluators.clear();
+    slot.live->ball_cache.Clear();
+  }
+  return true;
+}
+
+Message Server::HandleLoadGraph(RequestContext& ctx) {
+  const Message& request = ctx.request;
   const std::string* text = request.Find("graph");
   const std::string* file = request.Find("graph-file");
   if (text == nullptr && file == nullptr) {
@@ -838,17 +1083,11 @@ Message Server::HandleLoadGraph(const Message& request) {
       }
     }
     if (!mmap_backed) {
-      Message response;
-      response.Set("status", kStatusShed);
-      response.Set("code", std::to_string(kExitTempFail));
-      response.Set("tier", PressureTierName(tier));
-      response.Set("error",
-                   std::string("memory pressure (") +
-                       PressureTierName(tier) +
-                       "): non-mmap load-graph shed; retry later or load "
-                       "a .fog file");
-      BumpStat(&ServerStats::mem_shed);
-      return response;
+      return MakeShed(std::string("memory pressure (") +
+                          PressureTierName(tier) +
+                          "): non-mmap load-graph shed; retry later or "
+                          "load a .fog file",
+                      tier);
     }
   }
   uint64_t fingerprint = 0;
@@ -865,27 +1104,17 @@ Message Server::HandleLoadGraph(const Message& request) {
     Status meta = store_.SaveNextSessionId(next_session_id_);
     if (!meta.ok()) return MakeErrorFromStatus(meta);
   }
-  auto session = std::make_shared<Session>(
-      *std::move(graph), text != nullptr ? *text : std::string(),
-      options_.ball_cache_bytes);
-  session->id = id;
-  if (file != nullptr) {
-    session->graph_file = *file;
-    session->graph_fingerprint = fingerprint;
-  }
-  AttachSessionMemory(session.get());
+  std::shared_ptr<Session> session =
+      NewSession(id, *std::move(graph), text != nullptr ? *text : "",
+                 file != nullptr ? *file : "", fingerprint);
   // Journal before acknowledging: once the client sees the id, a restart
   // must be able to serve it.
-  Status saved = OkStatus();
   if (store_.enabled()) {
-    SessionRecord record = session->ToRecord();
-    saved = store_.Save(record);
-    if (saved.ok()) {
-      session->journal_charged = ApproxRecordBytes(record);
-      session->mem->Charge(session->journal_charged);
-    }
+    const SessionRecord record = session->ToRecord();
+    Status saved = store_.Save(record);
+    if (!saved.ok()) return MakeErrorFromStatus(saved);
+    session->ChargeJournal(ApproxRecordBytes(record));
   }
-  if (!saved.ok()) return MakeErrorFromStatus(saved);
   auto slot = std::make_shared<SessionSlot>();
   slot->live = session;
   slot->journaled = store_.enabled();
@@ -901,49 +1130,8 @@ Message Server::HandleLoadGraph(const Message& request) {
   return response;
 }
 
-namespace {
-
-// Resolves the "session" field to an id; false + error response on a
-// missing or malformed field.
-bool ParseSessionId(const Message& request, uint64_t* id,
-                    Message* error_response) {
-  const std::string* raw = request.Find("session");
-  if (raw == nullptr) {
-    *error_response =
-        MakeError(kExitUsage, "request requires a 'session' field");
-    return false;
-  }
-  try {
-    size_t pos = 0;
-    unsigned long long wide = std::stoull(*raw, &pos);
-    if (pos != raw->size()) throw std::invalid_argument(*raw);
-    *id = wide;
-  } catch (const std::exception&) {
-    *error_response =
-        MakeError(kExitUsage, "invalid session id '" + *raw + "'");
-    return false;
-  }
-  return true;
-}
-
-// Resolves the "model-id" field; the caller has established it is present.
-bool ParseModelIdField(const Message& request, uint64_t* model_id,
-                       Message* error_response) {
-  const std::string raw = request.Get("model-id");
-  if (!ParseU64(raw, model_id)) {
-    *error_response =
-        MakeError(kExitUsage, "invalid model id '" + raw + "'");
-    return false;
-  }
-  return true;
-}
-
-}  // namespace
-
-Message Server::HandleCloseSession(const Message& request) {
-  uint64_t id = 0;
-  Message error;
-  if (!ParseSessionId(request, &id, &error)) return error;
+Message Server::HandleCloseSession(RequestContext& ctx) {
+  const uint64_t id = *ctx.session_id;
   std::shared_ptr<SessionSlot> slot;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -975,47 +1163,9 @@ Message Server::HandleCloseSession(const Message& request) {
   return MakeOk();
 }
 
-bool Server::RequestLimits(const Message& request, GovernorLimits* limits,
-                           bool* governed, std::string* error) const {
-  int64_t deadline_ms = kNoLimit;
-  int64_t max_work = kNoLimit;
-  if (!ParseInt64Field(request, "deadline-ms", kNoLimit, &deadline_ms,
-                       error) ||
-      !ParseInt64Field(request, "max-work", kNoLimit, &max_work, error)) {
-    return false;
-  }
-  if (deadline_ms != kNoLimit && deadline_ms < 0) {
-    *error = "field 'deadline-ms' must be >= 0";
-    return false;
-  }
-  if (max_work != kNoLimit && max_work <= 0) {
-    *error = "field 'max-work' must be positive";
-    return false;
-  }
-  // Server caps clamp the request; with a cap set, a request asking for
-  // nothing still runs capped — the caps are the operator's protection
-  // against a tenant monopolising the daemon.
-  if (options_.max_deadline_ms != kNoLimit &&
-      (deadline_ms == kNoLimit || deadline_ms > options_.max_deadline_ms)) {
-    deadline_ms = options_.max_deadline_ms;
-  }
-  if (options_.max_work != kNoLimit &&
-      (max_work == kNoLimit || max_work > options_.max_work)) {
-    max_work = options_.max_work;
-  }
-  limits->deadline_ms = deadline_ms;
-  limits->max_work = max_work;
-  *governed = deadline_ms != kNoLimit || max_work != kNoLimit;
-  return true;
-}
-
-Message Server::HandleLearn(const Message& request) {
-  uint64_t id = 0;
-  Message error;
-  if (!ParseSessionId(request, &id, &error)) return error;
-  StatusOr<std::shared_ptr<Session>> acquired = AcquireSession(id);
-  if (!acquired.ok()) return MakeSessionError(id, acquired.status());
-  Session& session = **acquired;
+Message Server::HandleLearn(RequestContext& ctx) {
+  const Message& request = ctx.request;
+  Session& session = *ctx.session;
   const std::string* data_text = request.Find("data");
   if (data_text == nullptr) {
     return MakeError(kExitUsage, "learn requires a 'data' field");
@@ -1054,20 +1204,16 @@ Message Server::HandleLearn(const Message& request) {
                      "unsupported learner '" + learner +
                          "' (the server implements 'brute')");
   }
-  GovernorLimits limits;
-  bool governed = false;
-  if (!RequestLimits(request, &limits, &governed, &field_error)) {
-    return MakeError(kExitUsage, field_error);
-  }
+  Message error;
+  if (!ctx.ParseLimits(&error)) return error;
   // Memory governance: with a session or process byte budget the learn
   // runs governed against the session's account — an overflowing sweep is
   // cut at its next checkpoint with run-status=resource-exhausted and the
   // best hypothesis so far, the same anytime contract as deadline/work.
-  if (session.mem != nullptr &&
-      (options_.session_mem_bytes != kNoLimit ||
-       options_.mem_budget_bytes != kNoLimit)) {
-    limits.mem_budget = session.mem.get();
-    governed = true;
+  if (options_.session_mem_bytes != kNoLimit ||
+      options_.mem_budget_bytes != kNoLimit) {
+    ctx.limits.mem_budget = session.mem.get();
+    ctx.governed = true;
   }
 
   std::lock_guard<std::mutex> session_lock(session.mu);
@@ -1091,9 +1237,7 @@ Message Server::HandleLearn(const Message& request) {
   Status tuples_ok = ValidateTuples(session.graph, *data);
   if (!tuples_ok.ok()) return MakeErrorFromStatus(tuples_ok);
 
-  std::optional<ResourceGovernor> governor;
-  if (governed) governor.emplace(limits);
-  options.governor = governor.has_value() ? &*governor : nullptr;
+  options.governor = ctx.Governor();
   // The session ball cache is single-threaded state; the library only
   // consults it on single-threaded scans anyway (parallel sweeps build
   // per-worker caches), so it is attached exactly then.
@@ -1101,17 +1245,13 @@ Message Server::HandleLearn(const Message& request) {
   options.cache_bytes = options_.ball_cache_bytes;
   // Per-worker registry shards and ball caches of a parallel sweep charge
   // the session account too (released when the sweep returns).
-  options.mem_budget = session.mem != nullptr ? session.mem.get() : nullptr;
+  options.mem_budget = session.mem.get();
 
   ErmResult result =
       BruteForceErm(session.graph, *data, ell, options, session.registry);
 
   Message response = MakeOk();
-  if (IsInterrupted(result.status)) {
-    response.Set("status", kStatusPartial);
-    response.Set("code", "3");
-    response.Set("run-status", RunStatusName(result.status));
-  }
+  if (IsInterrupted(result.status)) MarkPartial(&response, result.status);
   Hypothesis hypothesis = result.hypothesis.ToExplicit();
   const std::string model_text = HypothesisToText(hypothesis);
   response.Set("model", model_text);
@@ -1119,9 +1259,7 @@ Message Server::HandleLearn(const Message& request) {
   response.Set("types-seen", std::to_string(result.distinct_types_seen));
   response.Set("tuples-tried",
                std::to_string(result.parameter_tuples_tried));
-  if (governor.has_value()) {
-    response.Set("work-used", std::to_string(governor->work_used()));
-  }
+  ctx.AddWorkUsed(&response);
 
   // Model registration. Identical model text reuses its handle, so
   // repeated learns (warm benches, retried workloads) neither bloat the
@@ -1186,13 +1324,9 @@ Message Server::HandleLearn(const Message& request) {
     if (store_.enabled() && !session.closed) {
       Status journaled = store_.Save(candidate);
       if (!journaled.ok()) return MakeErrorFromStatus(journaled);
-      if (session.mem != nullptr) {
-        // Re-charge the session's journal share at its new size.
-        session.mem->Release(session.journal_charged);
-        session.journal_charged = ApproxRecordBytes(candidate);
-        session.mem->Charge(session.journal_charged);
-      }
+      session.ChargeJournal(ApproxRecordBytes(candidate));
     }
+    // The memory table now mirrors the journaled candidate.
     for (uint64_t dropped : compacted) session.models.erase(dropped);
     if (!compacted.empty()) {
       BumpStat(&ServerStats::models_compacted,
@@ -1207,64 +1341,17 @@ Message Server::HandleLearn(const Message& request) {
       BumpStat(&ServerStats::models_registered);
     }
     if (new_dedup_entry) {
-      while (static_cast<int>(session.learn_dedup.size()) >=
-             options_.dedup_window) {
-        session.learn_dedup.pop_front();
-      }
-      session.learn_dedup.emplace_back(request_id,
-                                       EncodeMessage(response));
+      session.learn_dedup.assign(
+          std::make_move_iterator(candidate.learns.begin()),
+          std::make_move_iterator(candidate.learns.end()));
     }
   }
   return response;
 }
 
-namespace {
-
-// Parses a whitespace-separated vertex tuple ("3 17 4").
-bool ParseTupleField(const std::string& text, std::vector<Vertex>* tuple,
-                     std::string* error) {
-  tuple->clear();
-  size_t pos = 0;
-  while (pos < text.size()) {
-    while (pos < text.size() && (text[pos] == ' ' || text[pos] == '\t')) {
-      ++pos;
-    }
-    if (pos >= text.size()) break;
-    size_t end = pos;
-    while (end < text.size() && text[end] != ' ' && text[end] != '\t') {
-      ++end;
-    }
-    try {
-      size_t used = 0;
-      const std::string token = text.substr(pos, end - pos);
-      long long value = std::stoll(token, &used);
-      if (used != token.size() || value < 0) {
-        throw std::invalid_argument(token);
-      }
-      tuple->push_back(static_cast<Vertex>(value));
-    } catch (const std::exception&) {
-      *error = "invalid vertex '" + text.substr(pos, end - pos) +
-               "' in field 'tuple'";
-      return false;
-    }
-    pos = end;
-  }
-  if (tuple->empty()) {
-    *error = "field 'tuple' names no vertices";
-    return false;
-  }
-  return true;
-}
-
-}  // namespace
-
-Message Server::HandleEvaluate(const Message& request) {
-  uint64_t id = 0;
-  Message error;
-  if (!ParseSessionId(request, &id, &error)) return error;
-  StatusOr<std::shared_ptr<Session>> acquired = AcquireSession(id);
-  if (!acquired.ok()) return MakeSessionError(id, acquired.status());
-  Session& session = **acquired;
+Message Server::HandleEvaluate(RequestContext& ctx) {
+  const Message& request = ctx.request;
+  Session& session = *ctx.session;
   const std::string* model_text = request.Find("model");
   const bool by_handle = request.Has("model-id");
   if ((model_text == nullptr) == !by_handle) {
@@ -1276,144 +1363,64 @@ Message Server::HandleEvaluate(const Message& request) {
   if (data_text == nullptr) {
     return MakeError(kExitUsage, "evaluate requires a 'data' field");
   }
+  Message error;
   uint64_t model_id = 0;
   if (by_handle && !ParseModelIdField(request, &model_id, &error)) {
     return error;
   }
   StatusOr<TrainingSet> data = ParseTrainingSet(*data_text);
   if (!data.ok()) return MakeErrorFromStatus(data.status());
-  GovernorLimits limits;
-  bool governed = false;
-  std::string field_error;
-  if (!RequestLimits(request, &limits, &governed, &field_error)) {
-    return MakeError(kExitUsage, field_error);
-  }
+  if (!ctx.ParseLimits(&error)) return error;
 
   std::lock_guard<std::mutex> session_lock(session.mu);
-  const Graph& graph = session.graph;
-  Status tuples_ok = ValidateTuples(graph, *data);
+  Status tuples_ok = ValidateTuples(session.graph, *data);
   if (!tuples_ok.ok()) return MakeErrorFromStatus(tuples_ok);
-
-  // Resolve the hypothesis: the handle path reuses the registered,
-  // already-parsed model (the parse is the cost the handle eliminates);
-  // the text path parses per request, exactly as the CLI would.
+  // The handle path reuses the registered, already-parsed model (the
+  // parse is the cost the handle eliminates); the text path parses per
+  // request, exactly as the CLI would.
   std::optional<Hypothesis> parsed_from_text;
+  Session::ModelEntry* entry = nullptr;
   const Hypothesis* hypothesis = nullptr;
-  Session::ModelEntry* model_entry = nullptr;
   if (by_handle) {
-    auto it = session.models.find(model_id);
-    if (it == session.models.end()) {
-      return MakeError(kExitUsage, "unknown model-id " +
-                                       std::to_string(model_id) +
-                                       " in session " + std::to_string(id));
-    }
-    if (!it->second.parsed.has_value()) {
-      // First use after a re-warm: parse the journaled text once.
-      StatusOr<Hypothesis> reparsed = ParseHypothesis(it->second.text);
-      if (!reparsed.ok()) {
-        return MakeErrorFromStatus(DataLossError(
-            "journaled model " + std::to_string(model_id) +
-            " does not parse: " + reparsed.status().message()));
-      }
-      it->second.parsed = *std::move(reparsed);
-    }
-    hypothesis = &*it->second.parsed;
-    model_entry = &it->second;
+    entry = ctx.ResolveModel(model_id, &error);
+    if (entry == nullptr) return error;
+    hypothesis = &*entry->parsed;
   } else {
     StatusOr<Hypothesis> from_text = ParseHypothesis(*model_text);
     if (!from_text.ok()) return MakeErrorFromStatus(from_text.status());
-    parsed_from_text = *std::move(from_text);
-    hypothesis = &*parsed_from_text;
+    hypothesis = &parsed_from_text.emplace(*std::move(from_text));
   }
-  for (Vertex w : hypothesis->parameters) {
-    if (!graph.IsValidVertex(w)) {
-      return MakeErrorFromStatus(DataLossError(
-          "model parameter vertex " + std::to_string(w) +
-          " outside the session graph"));
-    }
-  }
-  const int k = hypothesis->k();
+  std::vector<std::span<const Vertex>> tuples;
+  tuples.reserve(data->size());
   for (const LabeledExample& example : *data) {
-    if (static_cast<int>(example.tuple.size()) != k) {
-      return MakeErrorFromStatus(DataLossError(
-          "example arity " + std::to_string(example.tuple.size()) +
-          " does not match the model's k=" + std::to_string(k)));
-    }
+    tuples.emplace_back(example.tuple);
   }
-
-  const std::vector<std::string> frame = hypothesis->AllVars();
-  EvalOptions eval_options;
-  eval_options.missing_color_is_false = true;  // external model files
-  eval_options.engine = options_.eval_engine;
-  const CachedPlan cached =
-      plan_cache_.GetOrCompile(hypothesis->formula, frame, eval_options);
-
-  std::optional<ResourceGovernor> governor;
-  if (governed) {
-    governor.emplace(limits);
-    eval_options.governor = &*governor;
-  }
-  // Warm path: the ungoverned evaluator (and its per-graph memo) is kept
-  // on the session. A governed request runs the mirrored slow lane on a
-  // throwaway evaluator so the warm one never observes a governor trip.
-  std::optional<EngineEvaluator> scratch;
-  EngineEvaluator* evaluator;
-  if (governed) {
-    scratch.emplace(cached, graph, eval_options);
-    evaluator = &*scratch;
-  } else {
-    evaluator = session.WarmEvaluator(cached, eval_options);
-  }
-
-  std::vector<Vertex> env(frame.size());
-  int64_t wrong = 0;
-  int64_t seen = 0;
-  const auto exec_start = std::chrono::steady_clock::now();
-  for (const LabeledExample& example : *data) {
-    std::copy(example.tuple.begin(), example.tuple.end(), env.begin());
-    std::copy(hypothesis->parameters.begin(), hypothesis->parameters.end(),
-              env.begin() + k);
-    bool verdict = evaluator->Eval(env);
-    if (governor.has_value() && governor->Interrupted()) break;
-    if (verdict != example.label) ++wrong;
-    ++seen;
-  }
-  if (model_entry != nullptr) {
-    model_entry->evals += seen;
-    model_entry->exec_ms += MsSince(exec_start);
-    model_entry->engine = EvalEngineName(ResolveEngine(eval_options));
-    model_entry->lower_ms = cached.lower_ms;
-    if (cached.bytecode != nullptr && cached.bytecode->supported) {
-      model_entry->vm_instructions =
-          static_cast<int64_t>(cached.bytecode->fast.code.size());
-      model_entry->vm_superinstructions = cached.bytecode->superinstructions;
-    }
-  }
+  Status fits = CheckModelFits(*hypothesis, session.graph, tuples, "example");
+  if (!fits.ok()) return MakeErrorFromStatus(fits);
 
   Message response = MakeOk();
-  if (governor.has_value() && governor->Interrupted()) {
-    response.Set("status", kStatusPartial);
-    response.Set("code", "3");
-    response.Set("run-status", RunStatusName(governor->status()));
+  const EvalRun run = ctx.RunGoverned(
+      plan_cache_.GetOrCompile(hypothesis->formula, hypothesis->AllVars(),
+                               ctx.ServingEvalOptions()),
+      hypothesis->parameters, tuples, &response);
+  const int64_t seen = static_cast<int64_t>(run.verdicts.size());
+  int64_t wrong = 0;
+  for (int64_t i = 0; i < seen; ++i) {
+    if (run.verdicts[i] != (*data)[i].label) ++wrong;
   }
+  if (entry != nullptr) entry->RecordEvals(seen, run);
   const double error_rate =
       seen == 0 ? 1.0 : static_cast<double>(wrong) / static_cast<double>(seen);
   response.Set("error", FormatDouble(error_rate));
   response.Set("examples-seen", std::to_string(seen));
   if (by_handle) response.Set("model-id", std::to_string(model_id));
-  if (governor.has_value()) {
-    response.Set("work-used", std::to_string(governor->work_used()));
-  }
+  ctx.AddWorkUsed(&response);
   return response;
 }
 
-Message Server::HandleQuery(const Message& request) {
-  uint64_t id = 0;
-  Message error;
-  if (!ParseSessionId(request, &id, &error)) return error;
-  StatusOr<std::shared_ptr<Session>> acquired = AcquireSession(id);
-  if (!acquired.ok()) return MakeSessionError(id, acquired.status());
-  Session& session = **acquired;
+Message Server::HandleQuery(RequestContext& ctx) {
+  const Message& request = ctx.request;
+  Session& session = *ctx.session;
   const std::string* sentence_text = request.Find("sentence");
   const bool by_handle = request.Has("model-id");
   if ((sentence_text == nullptr) == !by_handle) {
@@ -1421,17 +1428,15 @@ Message Server::HandleQuery(const Message& request) {
                      "query requires exactly one of 'sentence' and "
                      "'model-id'");
   }
-  GovernorLimits limits;
-  bool governed = false;
-  std::string field_error;
-  if (!RequestLimits(request, &limits, &governed, &field_error)) {
-    return MakeError(kExitUsage, field_error);
-  }
+  Message error;
+  if (!ctx.ParseLimits(&error)) return error;
 
-  std::vector<Vertex> env;
+  Message response = MakeOk();
+  EvalRun run;
   if (by_handle) {
     // Handle form: result = the registered model's classification of the
-    // request tuple (h_{φ,w̄}(v̄)), with zero per-request parsing.
+    // request tuple (h_{φ,w̄}(v̄)) — a one-example evaluate, with zero
+    // per-request parsing.
     uint64_t model_id = 0;
     if (!ParseModelIdField(request, &model_id, &error)) return error;
     const std::string* tuple_text = request.Find("tuple");
@@ -1440,193 +1445,85 @@ Message Server::HandleQuery(const Message& request) {
                        "query by model-id requires a 'tuple' field");
     }
     std::vector<Vertex> tuple;
+    std::string field_error;
     if (!ParseTupleField(*tuple_text, &tuple, &field_error)) {
       return MakeError(kExitUsage, field_error);
     }
     std::lock_guard<std::mutex> session_lock(session.mu);
-    auto it = session.models.find(model_id);
-    if (it == session.models.end()) {
-      return MakeError(kExitUsage, "unknown model-id " +
-                                       std::to_string(model_id) +
-                                       " in session " + std::to_string(id));
-    }
-    if (!it->second.parsed.has_value()) {
-      StatusOr<Hypothesis> reparsed = ParseHypothesis(it->second.text);
-      if (!reparsed.ok()) {
-        return MakeErrorFromStatus(DataLossError(
-            "journaled model " + std::to_string(model_id) +
-            " does not parse: " + reparsed.status().message()));
-      }
-      it->second.parsed = *std::move(reparsed);
-    }
-    const Hypothesis& hypothesis = *it->second.parsed;
-    if (static_cast<int>(tuple.size()) != hypothesis.k()) {
-      return MakeErrorFromStatus(DataLossError(
-          "tuple arity " + std::to_string(tuple.size()) +
-          " does not match the model's k=" +
-          std::to_string(hypothesis.k())));
-    }
-    for (Vertex v : tuple) {
-      if (!session.graph.IsValidVertex(v)) {
-        return MakeErrorFromStatus(DataLossError(
-            "tuple names vertex " + std::to_string(v) +
-            " outside the session graph"));
-      }
-    }
-    for (Vertex w : hypothesis.parameters) {
-      if (!session.graph.IsValidVertex(w)) {
-        return MakeErrorFromStatus(DataLossError(
-            "model parameter vertex " + std::to_string(w) +
-            " outside the session graph"));
-      }
-    }
-    EvalOptions eval_options;
-    eval_options.missing_color_is_false = true;
-    eval_options.engine = options_.eval_engine;
-    const CachedPlan cached = plan_cache_.GetOrCompile(
-        hypothesis.formula, hypothesis.AllVars(), eval_options);
-    env = std::move(tuple);
-    env.insert(env.end(), hypothesis.parameters.begin(),
-               hypothesis.parameters.end());
-    std::optional<ResourceGovernor> governor;
-    if (governed) {
-      governor.emplace(limits);
-      eval_options.governor = &*governor;
-    }
-    std::optional<EngineEvaluator> scratch;
-    EngineEvaluator* evaluator;
-    if (governed) {
-      scratch.emplace(cached, session.graph, eval_options);
-      evaluator = &*scratch;
-    } else {
-      evaluator = session.WarmEvaluator(cached, eval_options);
-    }
-    const auto exec_start = std::chrono::steady_clock::now();
-    bool verdict = evaluator->Eval(env);
-    Session::ModelEntry& entry = it->second;
-    entry.evals += 1;
-    entry.exec_ms += MsSince(exec_start);
-    entry.engine = EvalEngineName(ResolveEngine(eval_options));
-    entry.lower_ms = cached.lower_ms;
-    if (cached.bytecode != nullptr && cached.bytecode->supported) {
-      entry.vm_instructions =
-          static_cast<int64_t>(cached.bytecode->fast.code.size());
-      entry.vm_superinstructions = cached.bytecode->superinstructions;
-    }
-    Message response = MakeOk();
+    Session::ModelEntry* entry = ctx.ResolveModel(model_id, &error);
+    if (entry == nullptr) return error;
+    const Hypothesis& hypothesis = *entry->parsed;
+    const std::span<const Vertex> tuples[] = {tuple};
+    Status fits = CheckModelFits(hypothesis, session.graph, tuples, "tuple");
+    if (!fits.ok()) return MakeErrorFromStatus(fits);
     response.Set("model-id", std::to_string(model_id));
-    if (governor.has_value() && governor->Interrupted()) {
-      response.Set("status", kStatusPartial);
-      response.Set("code", "3");
-      response.Set("run-status", RunStatusName(governor->status()));
-      response.Set("result", "indeterminate");
-    } else {
-      response.Set("result", verdict ? "true" : "false");
-    }
-    if (governor.has_value()) {
-      response.Set("work-used", std::to_string(governor->work_used()));
-    }
-    return response;
-  }
-
-  std::string parse_error;
-  std::optional<FormulaRef> sentence =
-      ParseFormula(*sentence_text, &parse_error);
-  if (!sentence.has_value()) {
-    return MakeError(kExitDataError, "cannot parse sentence: " + parse_error);
-  }
-  if (!(*sentence)->free_variables().empty()) {
-    return MakeError(kExitDataError,
-                     "query requires a sentence; '" +
-                         (*sentence)->free_variables().front() +
-                         "' occurs free");
-  }
-
-  EvalOptions eval_options;
-  eval_options.missing_color_is_false = true;
-  eval_options.engine = options_.eval_engine;
-  const CachedPlan cached =
-      plan_cache_.GetOrCompile(*sentence, {}, eval_options);
-
-  std::lock_guard<std::mutex> session_lock(session.mu);
-  std::optional<ResourceGovernor> governor;
-  if (governed) {
-    governor.emplace(limits);
-    eval_options.governor = &*governor;
-  }
-  std::optional<EngineEvaluator> scratch;
-  EngineEvaluator* evaluator;
-  if (governed) {
-    scratch.emplace(cached, session.graph, eval_options);
-    evaluator = &*scratch;
+    run = ctx.RunGoverned(
+        plan_cache_.GetOrCompile(hypothesis.formula, hypothesis.AllVars(),
+                                 ctx.ServingEvalOptions()),
+        hypothesis.parameters, tuples, &response);
+    // A cut query still counts as one evaluation of the handle.
+    entry->RecordEvals(1, run);
   } else {
+    std::string parse_error;
+    std::optional<FormulaRef> sentence =
+        ParseFormula(*sentence_text, &parse_error);
+    if (!sentence.has_value()) {
+      return MakeError(kExitDataError,
+                       "cannot parse sentence: " + parse_error);
+    }
+    if (!(*sentence)->free_variables().empty()) {
+      return MakeError(kExitDataError,
+                       "query requires a sentence; '" +
+                           (*sentence)->free_variables().front() +
+                           "' occurs free");
+    }
+    const CachedPlan cached =
+        plan_cache_.GetOrCompile(*sentence, {}, ctx.ServingEvalOptions());
+    std::lock_guard<std::mutex> session_lock(session.mu);
     // Warm path: a repeated sentence is a per-graph memo hit — the
     // evaluator answers without touching the graph again.
-    evaluator = session.WarmEvaluator(cached, eval_options);
+    const std::span<const Vertex> no_tuple[] = {{}};
+    run = ctx.RunGoverned(cached, {}, no_tuple, &response);
   }
-  bool verdict = evaluator->Eval({});
-
-  Message response = MakeOk();
-  if (governor.has_value() && governor->Interrupted()) {
-    response.Set("status", kStatusPartial);
-    response.Set("code", "3");
-    response.Set("run-status", RunStatusName(governor->status()));
+  if (run.interrupted) {
     response.Set("result", "indeterminate");
   } else {
-    response.Set("result", verdict ? "true" : "false");
+    response.Set("result", run.verdicts[0] ? "true" : "false");
   }
-  if (governor.has_value()) {
-    response.Set("work-used", std::to_string(governor->work_used()));
-  }
+  ctx.AddWorkUsed(&response);
   return response;
 }
 
-Message Server::HandleGetModel(const Message& request) {
-  uint64_t id = 0;
-  Message error;
-  if (!ParseSessionId(request, &id, &error)) return error;
-  StatusOr<std::shared_ptr<Session>> acquired = AcquireSession(id);
-  if (!acquired.ok()) return MakeSessionError(id, acquired.status());
-  Session& session = **acquired;
-  if (!request.Has("model-id")) {
+Message Server::HandleGetModel(RequestContext& ctx) {
+  Session& session = *ctx.session;
+  if (!ctx.request.Has("model-id")) {
     return MakeError(kExitUsage, "get-model requires a 'model-id' field");
   }
   uint64_t model_id = 0;
-  if (!ParseModelIdField(request, &model_id, &error)) return error;
+  Message error;
+  if (!ParseModelIdField(ctx.request, &model_id, &error)) return error;
   std::lock_guard<std::mutex> session_lock(session.mu);
-  auto it = session.models.find(model_id);
-  if (it == session.models.end()) {
-    return MakeError(kExitUsage, "unknown model-id " +
-                                     std::to_string(model_id) +
-                                     " in session " + std::to_string(id));
-  }
-  const Session::ModelEntry& entry = it->second;
+  const Session::ModelEntry* entry =
+      ctx.ResolveModel(model_id, &error, /*parse=*/false);
+  if (entry == nullptr) return error;
   Message response = MakeOk();
   response.Set("model-id", std::to_string(model_id));
-  response.Set("model", entry.text);
-  // Evaluation telemetry accumulated by evaluate/query on this handle.
-  // `engine` is the engine of the most recent evaluation (the server
-  // default before any); lower-ms and the vm-* fields stay 0 unless the
-  // handle has run through the bytecode VM.
-  response.Set("engine", entry.engine.empty()
-                             ? EvalEngineName(options_.eval_engine)
-                             : entry.engine.c_str());
-  response.Set("evals", std::to_string(entry.evals));
-  response.Set("exec-ms", FormatDouble(entry.exec_ms));
-  response.Set("lower-ms", FormatDouble(entry.lower_ms));
-  response.Set("vm-instructions", std::to_string(entry.vm_instructions));
+  response.Set("model", entry->text);
+  // Evaluation telemetry accumulated by evaluate/query on this handle,
+  // which always run on the server's engine; lower-ms and the vm-* fields
+  // stay 0 unless the handle has run through the bytecode VM.
+  response.Set("engine", EvalEngineName(options_.eval_engine));
+  response.Set("evals", std::to_string(entry->evals));
+  response.Set("exec-ms", FormatDouble(entry->exec_ms));
+  response.Set("lower-ms", FormatDouble(entry->lower_ms));
+  response.Set("vm-instructions", std::to_string(entry->vm_instructions));
   response.Set("vm-superinstructions",
-               std::to_string(entry.vm_superinstructions));
+               std::to_string(entry->vm_superinstructions));
   return response;
 }
 
-Message Server::HandleListModels(const Message& request) {
-  uint64_t id = 0;
-  Message error;
-  if (!ParseSessionId(request, &id, &error)) return error;
-  StatusOr<std::shared_ptr<Session>> acquired = AcquireSession(id);
-  if (!acquired.ok()) return MakeSessionError(id, acquired.status());
-  Session& session = **acquired;
+Message Server::HandleListModels(RequestContext& ctx) {
+  Session& session = *ctx.session;
   std::lock_guard<std::mutex> session_lock(session.mu);
   std::string ids;
   for (const auto& [model_id, entry] : session.models) {
@@ -1639,50 +1536,60 @@ Message Server::HandleListModels(const Message& request) {
   return response;
 }
 
-Message Server::HandleStats(const Message& request) {
-  (void)request;
-  ServerStats stats = Snapshot();
+Message Server::HandleStats(RequestContext& /*ctx*/) {
+  // Wire key → snapshot field, in wire order; `name` renders enum gauges.
+  struct Field {
+    const char* key;
+    int64_t ServerStats::*value;
+    const char* (*name)(int64_t) = nullptr;
+  };
+  static constexpr Field kFields[] = {
+      {"requests", &ServerStats::requests}, {"ok", &ServerStats::ok},
+      {"partial", &ServerStats::partial}, {"shed", &ServerStats::shed},
+      {"errors", &ServerStats::errors},
+      {"sessions-opened", &ServerStats::sessions_opened},
+      {"sessions-closed", &ServerStats::sessions_closed},
+      {"sessions-recovered", &ServerStats::sessions_recovered},
+      {"sessions-rewarmed", &ServerStats::sessions_rewarmed},
+      {"sessions-evicted", &ServerStats::sessions_evicted},
+      {"models-registered", &ServerStats::models_registered},
+      {"dedup-hits", &ServerStats::dedup_hits},
+      {"disconnects", &ServerStats::disconnects},
+      {"journal-writes", &ServerStats::journal_writes},
+      {"durable", &ServerStats::durable},
+      {"plan-hits", &ServerStats::plan_hits},
+      {"plan-misses", &ServerStats::plan_misses},
+      {"plan-bytes", &ServerStats::plan_bytes},
+      {"inflight", &ServerStats::inflight},
+      {"eval-engine", &ServerStats::eval_engine,
+       [](int64_t engine) {
+         return EvalEngineName(static_cast<EvalEngine>(engine));
+       }},
+      {"mem-tier", &ServerStats::mem_tier,
+       [](int64_t tier) {
+         return PressureTierName(static_cast<PressureTier>(tier));
+       }},
+      {"mem-shed", &ServerStats::mem_shed},
+      {"tier-transitions", &ServerStats::tier_transitions},
+      {"warm-evictions", &ServerStats::warm_evictions},
+      {"models-compacted", &ServerStats::models_compacted},
+      {"journal-compactions", &ServerStats::journal_compactions},
+      {"mem-budget-bytes", &ServerStats::mem_budget_bytes},
+      {"mem-used-bytes", &ServerStats::mem_used_bytes},
+      {"mem-peak-bytes", &ServerStats::mem_peak_bytes},
+      {"rss-bytes", &ServerStats::rss_bytes}};
+  const ServerStats stats = Snapshot();
   Message response = MakeOk();
-  response.Set("requests", std::to_string(stats.requests));
-  response.Set("ok", std::to_string(stats.ok));
-  response.Set("partial", std::to_string(stats.partial));
-  response.Set("shed", std::to_string(stats.shed));
-  response.Set("errors", std::to_string(stats.errors));
-  response.Set("sessions-opened", std::to_string(stats.sessions_opened));
-  response.Set("sessions-closed", std::to_string(stats.sessions_closed));
-  response.Set("sessions-recovered",
-               std::to_string(stats.sessions_recovered));
-  response.Set("sessions-rewarmed",
-               std::to_string(stats.sessions_rewarmed));
-  response.Set("sessions-evicted", std::to_string(stats.sessions_evicted));
-  response.Set("models-registered",
-               std::to_string(stats.models_registered));
-  response.Set("dedup-hits", std::to_string(stats.dedup_hits));
-  response.Set("disconnects", std::to_string(stats.disconnects));
-  response.Set("journal-writes", std::to_string(stats.journal_writes));
-  response.Set("durable", store_.enabled() ? "1" : "0");
-  response.Set("plan-hits", std::to_string(stats.plan_hits));
-  response.Set("plan-misses", std::to_string(stats.plan_misses));
-  response.Set("plan-bytes", std::to_string(plan_cache_.bytes()));
-  response.Set("inflight", std::to_string(stats.inflight));
-  response.Set("eval-engine", EvalEngineName(options_.eval_engine));
-  // Memory governance: the current tier, its counters, and the gauges the
-  // watchdog published at its last tick (rss/mem-used are refreshed here
-  // so `stats` is accurate even between ticks).
-  response.Set("mem-tier",
-               PressureTierName(static_cast<PressureTier>(stats.mem_tier)));
-  response.Set("mem-shed", std::to_string(stats.mem_shed));
-  response.Set("tier-transitions", std::to_string(stats.tier_transitions));
-  response.Set("warm-evictions", std::to_string(stats.warm_evictions));
-  response.Set("models-compacted", std::to_string(stats.models_compacted));
-  response.Set("journal-compactions",
-               std::to_string(stats.journal_compactions));
-  response.Set("mem-budget-bytes",
-               std::to_string(options_.mem_budget_bytes));
-  response.Set("mem-used-bytes", std::to_string(stats.mem_used_bytes));
-  response.Set("mem-peak-bytes", std::to_string(mem_budget_.peak()));
-  response.Set("rss-bytes", std::to_string(stats.rss_bytes));
+  for (const Field& field : kFields) {
+    const int64_t value = stats.*field.value;
+    response.Set(field.key, field.name != nullptr ? field.name(value)
+                                                  : std::to_string(value));
+  }
   return response;
+}
+
+Message Server::HandleShutdown(RequestContext& /*ctx*/) {
+  return MakeOk();  // ConnectionLoop stops the server after responding
 }
 
 ServerStats Server::Snapshot() const {
@@ -1691,13 +1598,20 @@ ServerStats Server::Snapshot() const {
     std::lock_guard<std::mutex> lock(stats_mu_);
     stats = stats_;
   }
+  // Gauges are read fresh, so `stats` is accurate even between watchdog
+  // ticks.
   stats.journal_writes = store_.journal_writes();
   stats.plan_hits = plan_cache_.hits();
   stats.plan_misses = plan_cache_.misses();
+  stats.plan_bytes = plan_cache_.bytes();
   stats.inflight = inflight_.load(std::memory_order_acquire);
   stats.mem_tier = tier_.load(std::memory_order_relaxed);
   stats.mem_used_bytes = mem_budget_.used();
+  stats.mem_peak_bytes = mem_budget_.peak();
   stats.rss_bytes = ReadRssBytes();
+  stats.durable = store_.enabled() ? 1 : 0;
+  stats.eval_engine = static_cast<int64_t>(options_.eval_engine);
+  stats.mem_budget_bytes = options_.mem_budget_bytes;
   return stats;
 }
 

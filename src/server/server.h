@@ -3,9 +3,12 @@
 
 #include <atomic>
 #include <cstdint>
+#include <list>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -69,7 +72,11 @@ namespace folearn {
 // too long degrades to status=partial with best-so-far payload — the
 // same anytime semantics as the CLI, exit-code analogue 3.
 //
-// Protocol operations (see protocol.h for framing and retry semantics):
+// Protocol operations (see protocol.h for framing and retry semantics).
+// Server::kOps in server.cc is the single list of ops: each entry names
+// the op, whether it is substantive (admission), whether it takes a
+// session (resolved by Dispatch before the handler runs) and its
+// handler. Session ids are strict decimal on every op.
 //
 //   ping           echoes "payload"; with session=<id>, also refreshes
 //                  that session's idle clock (heartbeat) and reports
@@ -185,6 +192,12 @@ struct ServerStats {
   int64_t mem_tier = 0;            // gauge: current pressure tier
   int64_t rss_bytes = 0;           // gauge: RSS at snapshot time
   int64_t mem_used_bytes = 0;      // gauge: accounted bytes at snapshot
+  int64_t mem_peak_bytes = 0;      // gauge: accounted high-water mark
+  int64_t plan_bytes = 0;          // gauge: PlanCache bytes at snapshot
+  // Configuration echoed by the stats op.
+  int64_t durable = 0;             // 1 when sessions are journaled
+  int64_t eval_engine = 0;         // EvalEngine of evaluate/query
+  int64_t mem_budget_bytes = 0;    // ServerOptions::mem_budget_bytes
 };
 
 class Server {
@@ -231,19 +244,51 @@ class Server {
     std::atomic<int64_t> last_used_ms{0};
   };
 
-  // Dispatches one decoded request to its handler; never throws, always
-  // returns a response message.
+  // Everything a handler needs about its request; see server.cc.
+  struct RequestContext;
+
+  // How an op uses the request's "session" field. Dispatch resolves it
+  // before the handler runs; a missing or malformed id fails the request
+  // (code 64) for every op but kNone.
+  enum class SessionUse {
+    kNone,  // no session (ping reads the parsed id as a heartbeat)
+    kId,    // the strictly parsed id only (close-session never re-warms)
+    kLive,  // the warm session, re-warmed from the journal if cold
+  };
+
+  // One protocol operation. kOps (server.cc) is the single list of ops.
+  struct Op {
+    const char* name;
+    // Substantive ops count against max_inflight and are shed at the
+    // black tier; control-plane ops are always admitted so a loaded
+    // server stays observable and stoppable.
+    bool substantive;
+    SessionUse session;
+    Message (Server::*handler)(RequestContext& ctx);
+  };
+  static const Op kOps[];
+
+  // The request pipeline: black-tier shed → max-inflight admission → op
+  // lookup → session resolve → handler → RecordOutcome. Never throws,
+  // always returns a response message.
   Message Dispatch(const Message& request);
 
-  Message HandlePing(const Message& request);
-  Message HandleLoadGraph(const Message& request);
-  Message HandleCloseSession(const Message& request);
-  Message HandleLearn(const Message& request);
-  Message HandleEvaluate(const Message& request);
-  Message HandleQuery(const Message& request);
-  Message HandleGetModel(const Message& request);
-  Message HandleListModels(const Message& request);
-  Message HandleStats(const Message& request);
+  Message HandlePing(RequestContext& ctx);
+  Message HandleLoadGraph(RequestContext& ctx);
+  Message HandleCloseSession(RequestContext& ctx);
+  Message HandleLearn(RequestContext& ctx);
+  Message HandleEvaluate(RequestContext& ctx);
+  Message HandleQuery(RequestContext& ctx);
+  Message HandleGetModel(RequestContext& ctx);
+  Message HandleListModels(RequestContext& ctx);
+  Message HandleStats(RequestContext& ctx);
+  Message HandleShutdown(RequestContext& ctx);
+
+  // A retry-safe refusal to start the work (status=shed). Memory-pressure
+  // sheds name their tier, carry the temp-fail code and count as mem_shed;
+  // admission sheds (no tier) carry code 3.
+  Message MakeShed(std::string_view error,
+                   std::optional<PressureTier> tier = std::nullopt);
 
   // Resolves a session id to its warm state, lazily re-warming a cold
   // journaled slot (parse graph, reinstall models and dedup window).
@@ -253,13 +298,17 @@ class Server {
 
   std::shared_ptr<SessionSlot> FindSlot(uint64_t id);
 
-  // Journals the session's current durable state; on failure the caller
-  // must roll back the in-memory mutation and fail the request.
-  Status JournalSession(uint64_t id, const Session& session);
-
   // Demotes (journaled) or closes (memory-only) sessions idle longer
   // than session_ttl_ms. Called from the accept loop's poll cadence.
   void EvictIdleSessions();
+
+  // Demotes one slot whose idle clock is older than `idle_before`, unless
+  // it is busy, already cold, or held by a request: a journaled session
+  // goes cold (it re-warms lazily from the journal); a memory-only one is
+  // dropped when `drop_memory_only`, and otherwise only sheds its
+  // rebuildable warm state. Returns whether the slot was demoted.
+  bool DemoteSlot(SessionSlot& slot, int64_t idle_before,
+                  bool drop_memory_only);
 
   // Red-tier back-pressure: demotes idle journaled sessions (LRU-first)
   // and drops memory-only sessions' warm evaluators/ball entries until
@@ -274,8 +323,7 @@ class Server {
 
   // One watchdog tick: measure, classify (or honour force_tier), publish
   // the tier, flip caches to read-through at >= yellow, run red-tier
-  // reclamation. Also called once from Start() so a pinned force_tier
-  // gates requests before the first tick.
+  // reclamation.
   void UpdatePressure();
 
   PressureTier CurrentTier() const {
@@ -283,16 +331,12 @@ class Server {
         tier_.load(std::memory_order_relaxed));
   }
 
-  // Attaches a freshly built session to the memory-governance tree
-  // (child budget, registry/ball-cache accounts, read-through flag).
-  void AttachSessionMemory(Session* session);
-
-  // Builds the per-request governor limits from the request fields and
-  // the server caps. Returns false (with *error filled) on malformed
-  // values. *governed is false when neither the request nor the server
-  // imposes a limit.
-  bool RequestLimits(const Message& request, GovernorLimits* limits,
-                     bool* governed, std::string* error) const;
+  // Builds a session attached to the memory-governance tree (child
+  // budget, registry/ball-cache accounts, read-through flag).
+  std::shared_ptr<Session> NewSession(uint64_t id, Graph graph,
+                                      std::string graph_text,
+                                      std::string graph_file,
+                                      uint64_t fingerprint);
 
   void ConnectionLoop(int fd);
   void RecordOutcome(const Message& response);
@@ -323,7 +367,14 @@ class Server {
   uint64_t next_session_id_ = 1;
   mutable std::mutex stats_mu_;
   ServerStats stats_;
-  std::vector<std::thread> connections_;
+  // One thread per accepted connection, touched only by the Serve()
+  // thread. `done` is set as a connection thread exits, so the accept
+  // loop joins finished threads as it goes instead of at shutdown.
+  struct Connection {
+    std::thread thread;
+    std::atomic<bool> done{false};
+  };
+  std::list<Connection> connections_;
 };
 
 }  // namespace folearn

@@ -21,20 +21,6 @@ constexpr char kJournalVersion[] = "1";
 constexpr char kSessionPrefix[] = "session-";
 constexpr char kSessionSuffix[] = ".ckpt";
 
-// Strict decimal uint64, no sign, no trailing bytes.
-bool ParseU64(std::string_view text, uint64_t* value) {
-  if (text.empty() || text.size() > 20) return false;
-  uint64_t result = 0;
-  for (char c : text) {
-    if (c < '0' || c > '9') return false;
-    uint64_t digit = static_cast<uint64_t>(c - '0');
-    if (result > (UINT64_MAX - digit) / 10) return false;
-    result = result * 10 + digit;
-  }
-  *value = result;
-  return true;
-}
-
 Status VersionSkew(const std::string& path, const std::string& found) {
   return DataLossError("journal '" + path + "' has journal-version '" +
                        found + "', this build reads version " +

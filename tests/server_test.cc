@@ -13,6 +13,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
+#include <map>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -581,6 +584,32 @@ TEST_F(ServerTest, MalformedInputsGetSysexitsStyleCodes) {
   response = client.Call(open_query);
   ASSERT_TRUE(response.ok());
   EXPECT_EQ(ResponseExitCode(*response), 65);
+
+  // Session ids are strict decimal on every op: session 5 exists, yet a
+  // padded, signed or wrapping spelling of an id never reaches it.
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(client.LoadGraph(problem.graph_text).ok());
+  }
+  for (const std::string raw : {" 5", "+5", "-1"}) {
+    Message learn;
+    learn.Set("op", "learn");
+    learn.Set("session", raw);
+    learn.Set("data", problem.data_text);
+    response = client.Call(learn);
+    ASSERT_TRUE(response.ok());
+    EXPECT_EQ(ResponseExitCode(*response), 64) << raw;
+    EXPECT_EQ(response->Get("error"), "invalid session id '" + raw + "'");
+  }
+  Message heartbeat;
+  heartbeat.Set("op", "ping");
+  heartbeat.Set("session", "5");
+  response = client.Call(heartbeat);
+  ASSERT_TRUE(response.ok());
+  EXPECT_EQ(response->Get("session-known"), "1");
+  heartbeat.Set("session", " 5");
+  response = client.Call(heartbeat);
+  ASSERT_TRUE(response.ok());
+  EXPECT_EQ(response->Get("session-known"), "0");
 }
 
 TEST(ProtocolTest, SocketPathValidation) {
@@ -1393,6 +1422,447 @@ TEST_F(ServerTest, StatsExposeMemoryGovernanceGauges) {
   EXPECT_GT(std::stoll(observed->Get("mem-peak-bytes")), 0);
   EXPECT_GT(std::stoll(observed->Get("rss-bytes")), 0);
   EXPECT_EQ(observed->Get("mem-shed"), "0");
+}
+
+// ---------------------------------------------------------------------
+// Golden wire transcript: the exact response to every op × {valid;
+// each required field missing; each numeric or id field malformed;
+// unknown session; unknown model-id; doubly malformed requests that pin
+// which error a handler reports first}, under tiers green, yellow and
+// black (pinned with force_tier). Compared case by case against
+// tests/data/server_golden.txt; run with FOLEARN_UPDATE_GOLDEN=1 to
+// rewrite that file after a deliberate protocol change.
+
+// Keys whose values vary run to run; the transcript records them as '*'.
+constexpr const char* kGoldenMaskedKeys[] = {
+    "exec-ms", "lower-ms", "rss-bytes", "mem-used-bytes", "mem-peak-bytes"};
+
+std::string EscapeGolden(const std::string& value) {
+  std::string out;
+  for (char c : value) {
+    if (c == '\\') {
+      out += "\\\\";
+    } else if (c == '\n') {
+      out += "\\n";
+    } else if (c == '\t') {
+      out += "\\t";
+    } else {
+      out += c;
+    }
+  }
+  return out;
+}
+
+// The status/code pair of every response must agree with the client's
+// exit-code mapping.
+void ExpectConsistentStatus(const std::string& name, const Message& response) {
+  const std::string status = response.Get("status");
+  const std::string code = response.Get("code");
+  const int exit_code = ResponseExitCode(response);
+  if (status == kStatusOk) {
+    EXPECT_EQ(code, "0") << name;
+    EXPECT_EQ(exit_code, 0) << name;
+  } else if (status == kStatusPartial) {
+    EXPECT_EQ(code, "3") << name;
+    EXPECT_EQ(exit_code, 3) << name;
+  } else if (status == kStatusShed) {
+    EXPECT_TRUE(code == "3" || code == "75") << name << ": code " << code;
+    EXPECT_EQ(exit_code, 3) << name;
+  } else {
+    EXPECT_EQ(status, kStatusError) << name;
+    EXPECT_EQ(std::to_string(exit_code), code) << name;
+    EXPECT_GT(exit_code, 0) << name;
+  }
+}
+
+using Fields = std::vector<std::pair<std::string, std::string>>;
+
+class GoldenTranscript {
+ public:
+  GoldenTranscript(Client* client, std::string tier)
+      : client_(client), tier_(std::move(tier)) {}
+
+  // Sends one request and appends its (masked) response to the
+  // transcript; returns the unmasked response.
+  Message Run(const std::string& name, const Fields& fields) {
+    Message request;
+    for (const auto& [key, value] : fields) request.Set(key, value);
+    StatusOr<Message> response = client_->Call(request);
+    EXPECT_TRUE(response.ok()) << name << ": " << response.status().message();
+    if (!response.ok()) return Message{};
+    ExpectConsistentStatus(tier_ + " " + name, *response);
+    text_ += "== " + tier_ + " " + name + "\n";
+    for (const auto& [key, value] : response->fields) {
+      bool masked = false;
+      for (const char* mask : kGoldenMaskedKeys) masked |= key == mask;
+      text_ += key + "=" + (masked ? "*" : EscapeGolden(value)) + "\n";
+    }
+    return *std::move(response);
+  }
+
+  const std::string& text() const { return text_; }
+
+ private:
+  Client* client_;
+  std::string tier_;
+  std::string text_;
+};
+
+// `base` with `key` set to `value` (appended, or overwritten in place).
+Fields With(Fields base, const std::string& key, const std::string& value) {
+  for (auto& field : base) {
+    if (field.first == key) {
+      field.second = value;
+      return base;
+    }
+  }
+  base.emplace_back(key, value);
+  return base;
+}
+
+Fields Without(Fields base, const std::string& key) {
+  std::erase_if(base, [&](const auto& field) { return field.first == key; });
+  return base;
+}
+
+// The whole corpus against one server; session and model ids are those
+// the server hands out, so a fresh server yields a deterministic script.
+void RunGoldenCorpus(GoldenTranscript& t, const TestProblem& problem,
+                     const std::string& fog_path) {
+  // ---- unknown op / ping
+  t.Run("unknown-op", {{"op", "frobnicate"}});
+  t.Run("no-op", {{"payload", "x"}});
+  t.Run("ping.valid", {{"op", "ping"}, {"payload", "hello"}});
+  t.Run("ping.no-payload", {{"op", "ping"}});
+  t.Run("ping.session-unknown", {{"op", "ping"}, {"session", "999"}});
+  t.Run("ping.session-malformed", {{"op", "ping"}, {"session", "x"}});
+  t.Run("ping.unknown-field", {{"op", "ping"}, {"frob", "1"}});
+
+  // ---- load-graph
+  std::string session = "1";  // unknown when every load is shed (black)
+  Message text_load =
+      t.Run("load-graph.valid",
+            {{"op", "load-graph"}, {"graph", problem.graph_text}});
+  Message fog_load = t.Run("load-graph.fog-file",
+                           {{"op", "load-graph"}, {"graph-file", fog_path}});
+  if (text_load.Get("status") == kStatusOk) {
+    session = text_load.Get("session");
+  } else if (fog_load.Get("status") == kStatusOk) {
+    session = fog_load.Get("session");
+  }
+  t.Run("load-graph.missing", {{"op", "load-graph"}});
+  t.Run("load-graph.both", {{"op", "load-graph"},
+                            {"graph", problem.graph_text},
+                            {"graph-file", fog_path}});
+  t.Run("load-graph.bad-graph",
+        {{"op", "load-graph"}, {"graph", "graph zz\n"}});
+  t.Run("load-graph.missing-file",
+        {{"op", "load-graph"}, {"graph-file", "no-such-dir/missing.txt"}});
+  t.Run("ping.session-known", {{"op", "ping"}, {"session", session}});
+
+  // ---- learn
+  const Fields learn = {{"op", "learn"},
+                       {"session", session},
+                       {"data", problem.data_text},
+                       {"rank", "1"},
+                       {"radius", "1"}};
+  Message learned = t.Run("learn.valid", learn);
+  t.Run("learn.valid-repeat", learn);
+  t.Run("learn.request-id", With(learn, "request-id", "r1"));
+  t.Run("learn.request-id-replay", With(learn, "request-id", "r1"));
+  t.Run("learn.governed", With(learn, "max-work", "100000000"));
+  // Periodic labels admit no zero-error hypothesis, so the budget trips.
+  TrainingSet hard;
+  for (Vertex v = 0; v < problem.graph.order(); ++v) {
+    hard.push_back({{v}, v % 7 < 3});
+  }
+  t.Run("learn.governed-partial",
+        With(With(With(learn, "data", TrainingSetToText(hard)), "ell", "1"),
+             "max-work", "40"));
+  t.Run("learn.deadline", With(learn, "deadline-ms", "600000"));
+  t.Run("learn.no-session", Without(learn, "session"));
+  t.Run("learn.bad-session", With(learn, "session", "abc"));
+  t.Run("learn.unknown-session", With(learn, "session", "999"));
+  t.Run("learn.no-data", Without(learn, "data"));
+  t.Run("learn.bad-data", With(learn, "data", "examples zz\n"));
+  t.Run("learn.vertex-out-of-range",
+        With(learn, "data", "examples 1\n+ 5000\n"));
+  t.Run("learn.bad-rank", With(learn, "rank", "4x"));
+  t.Run("learn.bad-radius", With(learn, "radius", "r"));
+  t.Run("learn.bad-ell", With(learn, "ell", "1.5"));
+  t.Run("learn.bad-threads", With(learn, "threads", "t"));
+  t.Run("learn.rank-overflow", With(learn, "rank", "99999999999"));
+  t.Run("learn.negative-rank", With(learn, "rank", "-1"));
+  t.Run("learn.negative-radius", With(learn, "radius", "-2"));
+  t.Run("learn.negative-ell", With(learn, "ell", "-1"));
+  t.Run("learn.negative-threads", With(learn, "threads", "-1"));
+  t.Run("learn.bad-learner", With(learn, "learner", "nd"));
+  t.Run("learn.bad-deadline", With(learn, "deadline-ms", "soon"));
+  t.Run("learn.negative-deadline", With(learn, "deadline-ms", "-5"));
+  t.Run("learn.bad-max-work", With(learn, "max-work", "x"));
+  t.Run("learn.zero-max-work", With(learn, "max-work", "0"));
+  t.Run("learn.long-request-id",
+        With(learn, "request-id", std::string(257, 'a')));
+  t.Run("learn.no-session+no-data",
+        Without(Without(learn, "session"), "data"));
+  t.Run("learn.bad-session+bad-rank",
+        With(With(learn, "session", "abc"), "rank", "x"));
+  t.Run("learn.unknown-session+no-data",
+        Without(With(learn, "session", "999"), "data"));
+  t.Run("learn.bad-rank+bad-data",
+        With(With(learn, "rank", "x"), "data", "examples zz\n"));
+  t.Run("learn.bad-rank+bad-radius",
+        With(With(learn, "rank", "x"), "radius", "y"));
+  t.Run("learn.negative-rank+bad-ell",
+        With(With(learn, "rank", "-1"), "ell", "e"));
+  t.Run("learn.bad-learner+bad-max-work",
+        With(With(learn, "learner", "nd"), "max-work", "x"));
+  t.Run("learn.bad-max-work+vertex-out-of-range",
+        With(With(learn, "max-work", "x"), "data", "examples 1\n+ 5000\n"));
+  t.Run("learn.long-request-id+bad-data",
+        With(With(learn, "request-id", std::string(257, 'a')), "data",
+             "examples zz\n"));
+
+  // ---- evaluate
+  const std::string model_id = "1";
+  const Fields evaluate = {{"op", "evaluate"},
+                           {"session", session},
+                           {"model-id", model_id},
+                           {"data", problem.data_text}};
+  const Fields evaluate_text =
+      With(Without(evaluate, "model-id"), "model", learned.Get("model"));
+  t.Run("evaluate.by-handle", evaluate);
+  t.Run("evaluate.by-text", evaluate_text);
+  t.Run("evaluate.governed", With(evaluate, "max-work", "100000000"));
+  t.Run("evaluate.governed-partial", With(evaluate, "max-work", "1"));
+  t.Run("evaluate.by-text-governed-partial",
+        With(evaluate_text, "max-work", "1"));
+  t.Run("evaluate.no-session", Without(evaluate, "session"));
+  t.Run("evaluate.bad-session", With(evaluate, "session", "abc"));
+  t.Run("evaluate.unknown-session", With(evaluate, "session", "999"));
+  t.Run("evaluate.no-model", Without(evaluate, "model-id"));
+  t.Run("evaluate.both-models", With(evaluate, "model", learned.Get("model")));
+  t.Run("evaluate.no-data", Without(evaluate, "data"));
+  t.Run("evaluate.bad-model-id", With(evaluate, "model-id", "x"));
+  t.Run("evaluate.signed-model-id", With(evaluate, "model-id", "+1"));
+  t.Run("evaluate.unknown-model-id", With(evaluate, "model-id", "99"));
+  t.Run("evaluate.bad-model-text", With(evaluate_text, "model", "garbage"));
+  t.Run("evaluate.bad-data", With(evaluate, "data", "examples zz\n"));
+  t.Run("evaluate.vertex-out-of-range",
+        With(evaluate, "data", "examples 1\n+ 5000\n"));
+  t.Run("evaluate.arity-mismatch",
+        With(evaluate, "data", "examples 2\n+ 0 1\n"));
+  t.Run("evaluate.bad-deadline", With(evaluate, "deadline-ms", "soon"));
+  t.Run("evaluate.bad-max-work", With(evaluate, "max-work", "x"));
+  t.Run("evaluate.no-model+no-data",
+        Without(Without(evaluate, "model-id"), "data"));
+  t.Run("evaluate.bad-model-id+no-data",
+        Without(With(evaluate, "model-id", "x"), "data"));
+  t.Run("evaluate.bad-model-id+bad-data",
+        With(With(evaluate, "model-id", "x"), "data", "examples zz\n"));
+  t.Run("evaluate.bad-data+bad-max-work",
+        With(With(evaluate, "data", "examples zz\n"), "max-work", "x"));
+  t.Run("evaluate.unknown-model-id+bad-max-work",
+        With(With(evaluate, "model-id", "99"), "max-work", "x"));
+  t.Run("evaluate.unknown-model-id+vertex-out-of-range",
+        With(With(evaluate, "model-id", "99"), "data",
+             "examples 1\n+ 5000\n"));
+  t.Run("evaluate.unknown-model-id+arity-mismatch",
+        With(With(evaluate, "model-id", "99"), "data",
+             "examples 2\n+ 0 1\n"));
+  t.Run("evaluate.bad-model-text+arity-mismatch",
+        With(With(evaluate_text, "model", "garbage"), "data",
+             "examples 2\n+ 0 1\n"));
+
+  // ---- query
+  const Fields sentence = {{"op", "query"},
+                           {"session", session},
+                           {"sentence", "exists x. Red(x)"}};
+  const Fields handle = {{"op", "query"},
+                         {"session", session},
+                         {"model-id", model_id},
+                         {"tuple", "0"}};
+  t.Run("query.sentence-true", sentence);
+  t.Run("query.sentence-false", With(sentence, "sentence", "forall x. Red(x)"));
+  t.Run("query.sentence-repeat", sentence);
+  t.Run("query.sentence-governed", With(sentence, "max-work", "100000000"));
+  t.Run("query.sentence-governed-partial",
+        With(With(sentence, "sentence",
+                  "forall x. forall y. (E(x,y) -> exists z. E(y,z))"),
+             "max-work", "1"));
+  t.Run("query.handle-true", handle);
+  t.Run("query.handle-false", With(handle, "tuple", "1"));
+  t.Run("query.handle-tabs", With(handle, "tuple", "\t 3 "));
+  t.Run("query.handle-governed", With(handle, "max-work", "100000000"));
+  t.Run("query.handle-governed-partial", With(handle, "max-work", "1"));
+  t.Run("query.no-session", Without(sentence, "session"));
+  t.Run("query.bad-session", With(sentence, "session", "abc"));
+  t.Run("query.unknown-session", With(sentence, "session", "999"));
+  t.Run("query.neither", Without(sentence, "sentence"));
+  t.Run("query.both", With(handle, "sentence", "exists x. Red(x)"));
+  t.Run("query.bad-sentence", With(sentence, "sentence", "exists x."));
+  t.Run("query.open-sentence", With(sentence, "sentence", "Red(x)"));
+  t.Run("query.sentence-bad-deadline", With(sentence, "deadline-ms", "s"));
+  t.Run("query.sentence-bad-max-work", With(sentence, "max-work", "x"));
+  t.Run("query.bad-model-id", With(handle, "model-id", "x"));
+  t.Run("query.unknown-model-id", With(handle, "model-id", "99"));
+  t.Run("query.no-tuple", Without(handle, "tuple"));
+  t.Run("query.bad-tuple", With(handle, "tuple", "a b"));
+  t.Run("query.empty-tuple", With(handle, "tuple", " "));
+  t.Run("query.negative-vertex", With(handle, "tuple", "-1"));
+  t.Run("query.tuple-arity", With(handle, "tuple", "0 1"));
+  t.Run("query.tuple-out-of-range", With(handle, "tuple", "5000"));
+  t.Run("query.handle-bad-max-work", With(handle, "max-work", "x"));
+  t.Run("query.bad-max-work+bad-sentence",
+        With(With(sentence, "max-work", "x"), "sentence", "exists x."));
+  t.Run("query.bad-model-id+no-tuple",
+        Without(With(handle, "model-id", "x"), "tuple"));
+  t.Run("query.no-tuple+bad-max-work",
+        With(Without(handle, "tuple"), "max-work", "x"));
+  t.Run("query.unknown-model-id+bad-tuple",
+        With(With(handle, "model-id", "99"), "tuple", "a"));
+  t.Run("query.unknown-model-id+tuple-arity",
+        With(With(handle, "model-id", "99"), "tuple", "0 1"));
+  t.Run("query.tuple-arity+out-of-range",
+        With(handle, "tuple", "5000 5001"));
+
+  // ---- get-model / list-models
+  const Fields get_model = {
+      {"op", "get-model"}, {"session", session}, {"model-id", model_id}};
+  t.Run("get-model.valid", get_model);
+  t.Run("get-model.no-session", Without(get_model, "session"));
+  t.Run("get-model.bad-session", With(get_model, "session", "abc"));
+  t.Run("get-model.unknown-session", With(get_model, "session", "999"));
+  t.Run("get-model.no-model-id", Without(get_model, "model-id"));
+  t.Run("get-model.bad-model-id", With(get_model, "model-id", "x"));
+  t.Run("get-model.unknown-model-id", With(get_model, "model-id", "99"));
+  t.Run("get-model.unknown-session+no-model-id",
+        Without(With(get_model, "session", "999"), "model-id"));
+  const Fields list_models = {{"op", "list-models"}, {"session", session}};
+  t.Run("list-models.valid", list_models);
+  t.Run("list-models.no-session", Without(list_models, "session"));
+  t.Run("list-models.bad-session", With(list_models, "session", "abc"));
+  t.Run("list-models.unknown-session", With(list_models, "session", "999"));
+
+  // ---- stats (before the requests below, whose outcome changed when
+  // session ids became strictly parsed)
+  t.Run("stats.valid", {{"op", "stats"}});
+
+  // ---- malformed session ids: strict decimal only
+  t.Run("list-models.space-session", With(list_models, "session", " 5"));
+  t.Run("list-models.plus-session",
+        With(list_models, "session", "+" + session));
+  t.Run("list-models.minus-session", With(list_models, "session", "-1"));
+  t.Run("list-models.overflow-session",
+        With(list_models, "session", "18446744073709551616"));
+  t.Run("learn.space-session", With(learn, "session", " 5"));
+  t.Run("ping.space-session", {{"op", "ping"}, {"session", " " + session}});
+  t.Run("close-session.minus-session",
+        {{"op", "close-session"}, {"session", "-1"}});
+
+  // ---- close-session, then shutdown
+  const Fields close = {{"op", "close-session"}, {"session", session}};
+  t.Run("close-session.no-session", {{"op", "close-session"}});
+  t.Run("close-session.bad-session", With(close, "session", "abc"));
+  t.Run("close-session.unknown-session", With(close, "session", "999"));
+  t.Run("close-session.valid", close);
+  t.Run("close-session.repeat", close);
+  t.Run("list-models.closed-session", list_models);
+  t.Run("shutdown", {{"op", "shutdown"}});
+}
+
+// Splits a transcript into its "== <tier> <case>" blocks, keyed by header.
+std::map<std::string, std::string> SplitCases(const std::string& text) {
+  std::map<std::string, std::string> cases;
+  std::istringstream in(text);
+  std::string header;
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind("== ", 0) == 0) {
+      header = line;
+    } else {
+      cases[header] += line + "\n";
+    }
+  }
+  return cases;
+}
+
+TEST_F(ServerTest, GoldenWireTranscript) {
+  TestProblem problem = MakeProblem(12, 51);
+  problem.graph.Finalize();
+  const std::string fog_path = UniqueSocketPath() + ".fog";
+  ASSERT_TRUE(WriteFogFile(fog_path, problem.graph).ok());
+  std::string transcript;
+  const std::pair<const char*, PressureTier> tiers[] = {
+      {"green", PressureTier::kGreen},
+      {"yellow", PressureTier::kYellow},
+      {"black", PressureTier::kBlack}};
+  for (const auto& [name, tier] : tiers) {
+    ServerOptions options;
+    options.force_tier = static_cast<int>(tier);
+    StartServer(std::move(options));
+    {
+      Client client = MustConnect();
+      GoldenTranscript t(&client, name);
+      RunGoldenCorpus(t, problem, fog_path);
+      transcript += t.text();
+    }
+    serve_thread_.join();  // the corpus ends with op=shutdown
+    server_.reset();
+  }
+  std::remove(fog_path.c_str());
+
+  const std::string path = std::string(FOLEARN_TEST_DATA_DIR) +
+                           "/server_golden.txt";
+  if (std::getenv("FOLEARN_UPDATE_GOLDEN") != nullptr) {
+    std::ofstream(path) << transcript;
+    GTEST_SKIP() << "rewrote " << path;
+  }
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good()) << "missing golden transcript " << path;
+  std::stringstream expected;
+  expected << in.rdbuf();
+  // Report differing cases by name; the whole-text check below also pins
+  // case order.
+  const std::map<std::string, std::string> want = SplitCases(expected.str());
+  const std::map<std::string, std::string> got = SplitCases(transcript);
+  std::string diff;
+  for (const auto& [header, body] : want) {
+    auto it = got.find(header);
+    const std::string actual = it == got.end() ? "<missing>\n" : it->second;
+    if (actual != body) {
+      diff += header + "\n want:\n" + body + " got:\n" + actual;
+    }
+  }
+  for (const auto& [header, body] : got) {
+    if (!want.contains(header)) diff += header + "\n unexpected case\n";
+  }
+  if (!diff.empty()) ADD_FAILURE() << diff;
+  EXPECT_TRUE(transcript == expected.str()) << "transcript differs";
+}
+
+// Lines in /proc/self/maps: every live or finished-but-unjoined thread
+// pins its stack and guard page there.
+int64_t MappingCount() {
+  std::ifstream maps("/proc/self/maps");
+  int64_t lines = 0;
+  for (std::string line; std::getline(maps, line);) ++lines;
+  return lines;
+}
+
+// Every folearn_client invocation is one connection; a long-lived daemon
+// must join finished connection threads as it goes, not only at shutdown.
+TEST_F(ServerTest, FinishedConnectionThreadsAreReaped) {
+  StartServer(ServerOptions{});
+  const auto round_trip = [&] {
+    Client client = MustConnect();
+    EXPECT_TRUE(client.Ping().ok());
+  };
+  // Warm-up: the thread-stack cache and malloc arenas settle first.
+  for (int i = 0; i < 8; ++i) round_trip();
+  const int64_t before = MappingCount();
+  for (int i = 0; i < 200; ++i) round_trip();
+  // Unreaped, 200 finished threads would add ~400 mappings.
+  EXPECT_LT(MappingCount() - before, 100);
 }
 
 TEST_F(ServerTest, ShutdownOpStopsTheServeLoop) {
