@@ -40,7 +40,6 @@
 #include "graph/generators.h"
 #include "graph/io.h"
 #include "mc/bytecode.h"
-#include "mc/compiled_eval.h"
 #include "mc/vm.h"
 #include "util/checkpoint.h"
 #include "util/rng.h"
@@ -145,7 +144,6 @@ std::pair<double, long long> MeasureVmBallQueries(const Graph& graph,
   const std::vector<std::string> frame = {"x1"};
   CompiledFormula plan = CompileFormula(formula, frame);
   LoweredPlan lowered = LowerPlan(plan);
-  FOLEARN_CHECK(lowered.supported);
 
   NeighborhoodExtractor extractor(graph);
   long long edges = 0;

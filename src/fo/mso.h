@@ -28,11 +28,10 @@ FormulaRef MsoSameComponentFormula(const std::string& x,
 //   ∃X (independent(X) ∧ dominating(X)).
 FormulaRef MsoIndependentDominatingSetSentence();
 
-// Upper bound on the number of quantifier branches (= governor checkpoints)
-// the recursive evaluator can spend on `formula` over a structure with
-// `order` vertices. Set quantifiers contribute 2^order branches each, so
-// this is the right scale for GovernorLimits::max_work when budgeting an
-// MSO evaluation. Saturates instead of overflowing.
+// Upper bound on the number of quantifier branches (EvalStats::
+// quantifier_branches) the recursive evaluator can spend on `formula` over
+// a structure with `order` vertices. Set quantifiers contribute 2^order
+// branches each. Saturates instead of overflowing.
 int64_t MsoEvaluationWorkBound(const FormulaRef& formula, int order);
 
 }  // namespace folearn

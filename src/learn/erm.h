@@ -140,9 +140,9 @@ struct EnumerationErmResult {
 //
 // Candidate formulas are compiled once per worker and the plans (plus
 // their per-graph subformula memos) are reused across every parameter
-// tuple and training example — the compiled engine's headline win on the
+// tuple and training example — the VM's headline win on the
 // E9 grid. `eval` controls the per-candidate evaluation only
-// (force_interpreter routes through the reference evaluator;
+// (eval.engine picks the VM or the reference interpreter;
 // eval.governor is ignored — the grid-level `governor` parameter is the
 // budget, charged one unit per candidate in both modes).
 // `hooks` enables checkpoint/resume of the grid scan (learner tag
@@ -170,8 +170,8 @@ EnumerationErmResult EnumerationErm(const Graph& graph,
                                     const ScanHooks& hooks = {});
 
 // A candidate with its graph-independent compilation artifacts hoisted out
-// of the grid scan: the tree plan and, when prepared for EvalEngine::kVm,
-// the lowered bytecode. Produced by PrepareFormulas; consumed by the
+// of the grid scan: the plan and, when prepared for EvalEngine::kVm, the
+// lowered bytecode. Produced by PrepareFormulas; consumed by the
 // overload below. Prepared plans are caller-owned — the per-worker plan
 // caches neither count them against EvalOptions::cache_bytes nor evict
 // them (per-graph evaluators are still built, and evicted, per worker).

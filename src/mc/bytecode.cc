@@ -15,10 +15,10 @@ const char* VmOpName(VmOp op) {
     case VmOp::kEdge: return "edge";
     case VmOp::kEquals: return "equals";
     case VmOp::kColor: return "color";
+    case VmOp::kSetMember: return "set_member";
     case VmOp::kAtomRun: return "atom_run";
     case VmOp::kMemoCheck: return "memo_check";
     case VmOp::kMemoWrite: return "memo_write";
-    case VmOp::kCheckpoint: return "checkpoint";
     case VmOp::kScanBegin: return "scan_begin";
     case VmOp::kScanNext: return "scan_next";
     case VmOp::kEqBind: return "eq_bind";
@@ -31,6 +31,8 @@ const char* VmOpName(VmOp op) {
     case VmOp::kCntHit: return "cnt_hit";
     case VmOp::kCntStep: return "cnt_step";
     case VmOp::kCntExit: return "cnt_exit";
+    case VmOp::kSetBegin: return "set_begin";
+    case VmOp::kSetNext: return "set_next";
     case VmOp::kScanAtoms: return "scan_atoms";
     case VmOp::kEqBindAtoms: return "eq_bind_atoms";
     case VmOp::kNScanAtoms: return "nscan_atoms";
@@ -42,12 +44,6 @@ const char* VmOpName(VmOp op) {
 
 namespace {
 
-// Degenerate plans aside, programs are a small multiple of the node count;
-// the cap only exists to stop pathological memo-shared DAGs (whose every
-// occurrence is inlined) from exploding — such plans fall back to the tree
-// engine instead.
-constexpr size_t kMaxCode = size_t{1} << 20;
-
 // A constant-pool run reference produced by literal folding.
 struct RunRef {
   int32_t first = 0;
@@ -57,36 +53,26 @@ struct RunRef {
 
 class Lowerer {
  public:
-  Lowerer(const CompiledFormula& plan, bool counting)
-      : plan_(plan), nodes_(plan.nodes()), counting_(counting) {}
+  explicit Lowerer(const CompiledFormula& plan)
+      : plan_(plan), nodes_(plan.nodes()) {}
 
-  bool Lower(BytecodeProgram* out, std::vector<int32_t>* guard_colors,
-             int32_t* superinstructions, int32_t* atom_runs) {
+  LoweredPlan Lower() {
     const int32_t halt_true = NewLabel();
     const int32_t halt_false = NewLabel();
-    if (counting_) trip_label_ = NewLabel();
     EmitNode(plan_.root(), halt_true, halt_false);
     Place(halt_true);
     Emit({.op = VmOp::kHaltTrue});
     Place(halt_false);
     Emit({.op = VmOp::kHaltFalse});
-    if (counting_) {
-      Place(trip_label_);
-      Emit({.op = VmOp::kHaltTripped});
-    }
-    if (!ok_) return false;
+    Emit({.op = VmOp::kHaltTripped});  // last: the governor's trip target
     // Backpatch: every non-negative t/f holds a label id by construction.
     for (VmInst& inst : code_) {
       if (inst.t >= 0) inst.t = labels_[inst.t];
       if (inst.f >= 0) inst.f = labels_[inst.f];
     }
-    out->code = std::move(code_);
-    out->atoms = std::move(atoms_);
-    out->num_frames = num_frames_;
-    *guard_colors = std::move(guard_colors_);
-    *superinstructions = superinstructions_;
-    *atom_runs = atom_runs_;
-    return true;
+    out_.code = std::move(code_);
+    out_.atoms = std::move(atoms_);
+    return std::move(out_);
   }
 
  private:
@@ -105,23 +91,23 @@ class Lowerer {
     Emit({.op = VmOp::kJump, .t = target});
   }
 
-  int32_t NewFrame() { return num_frames_++; }
+  int32_t NewFrame() { return out_.num_frames++; }
 
   // --- literal folding ---------------------------------------------------
 
   // Folds an atom or a ¬-chain over an atom into one constant-pool entry.
-  // Memoized nodes are never folded in the fast lane (they cannot occur on
-  // a literal in practice — atoms always read a slot — but the guard keeps
-  // the memo contract local to EmitNode).
+  // Memoized nodes are never folded (they cannot occur on a literal in
+  // practice — atoms always read a slot — but the guard keeps the memo
+  // contract local to EmitNode). Set membership is not foldable.
   bool FoldLiteral(int32_t id, VmAtom* out) const {
     bool expect = true;
     const CompiledNode* node = &nodes_[id];
     while (node->op == COp::kNot) {
-      if (!counting_ && node->memo_id >= 0) return false;
+      if (node->memo_id >= 0) return false;
       expect = !expect;
       node = &nodes_[node->child];
     }
-    if (!counting_ && node->memo_id >= 0) return false;
+    if (node->memo_id >= 0) return false;
     switch (node->op) {
       case COp::kEdge: out->kind = 0; break;
       case COp::kEquals: out->kind = 1; break;
@@ -138,7 +124,7 @@ class Lowerer {
   // literals — into one run, enabling the loop+body superinstructions.
   bool TryFoldBody(int32_t id, RunRef* out) {
     const CompiledNode& node = nodes_[id];
-    if (!counting_ && node.memo_id >= 0) return false;
+    if (node.memo_id >= 0) return false;
     VmAtom single;
     if (FoldLiteral(id, &single)) {
       out->first = static_cast<int32_t>(atoms_.size());
@@ -148,20 +134,18 @@ class Lowerer {
       return true;
     }
     if (node.op != COp::kAnd && node.op != COp::kOr) return false;
-    return TryFoldList(plan_.children(node), /*skip=*/-1,
-                       node.op == COp::kOr, out);
+    return TryFoldList(plan_.children(node), node.op == COp::kOr, out);
   }
 
-  // Folds every child (minus `skip`, the guard) into one run, preserving
-  // the child order so short-circuit behaviour is unchanged.
-  bool TryFoldList(std::span<const int32_t> children, int32_t skip,
-                   bool disj, RunRef* out) {
+  // Folds every child into one run, preserving the child order so
+  // short-circuit behaviour is unchanged.
+  bool TryFoldList(std::span<const int32_t> children, bool disj,
+                   RunRef* out) {
     std::vector<VmAtom> run;
     run.reserve(children.size());
-    for (int32_t i = 0; i < static_cast<int32_t>(children.size()); ++i) {
-      if (i == skip) continue;
+    for (int32_t child : children) {
       VmAtom atom;
-      if (!FoldLiteral(children[i], &atom)) return false;
+      if (!FoldLiteral(child, &atom)) return false;
       run.push_back(atom);
     }
     out->first = static_cast<int32_t>(atoms_.size());
@@ -174,17 +158,12 @@ class Lowerer {
   // --- node emission -----------------------------------------------------
 
   // Emits `id` with jump-threaded targets: control reaches `t` exactly when
-  // the subformula is true. In the fast lane a memoized node first consults
-  // its memo slot and stores its verdict on both exits, mirroring the tree
-  // engine's EvalNode; the counting lane never touches memos.
+  // the subformula is true. A memoized node first consults its memo slot
+  // and stores its verdict on both exits; a governor trip inside it jumps
+  // straight to kHaltTripped, past both writes.
   void EmitNode(int32_t id, int32_t t, int32_t f) {
-    if (!ok_) return;
-    if (code_.size() > kMaxCode) {
-      ok_ = false;
-      return;
-    }
     const CompiledNode& node = nodes_[id];
-    if (!counting_ && node.memo_id >= 0) {
+    if (node.memo_id >= 0) {
       const int32_t on_true = NewLabel();
       const int32_t on_false = NewLabel();
       Emit({.op = VmOp::kMemoCheck, .a = node.memo_id, .t = t, .f = f});
@@ -220,10 +199,10 @@ class Lowerer {
         EmitNode(node.child, f, t);
         return;
       case COp::kAnd:
-        EmitList(plan_.children(node), /*skip=*/-1, /*conj=*/true, t, f);
+        EmitList(plan_.children(node), /*conj=*/true, t, f);
         return;
       case COp::kOr:
-        EmitList(plan_.children(node), /*skip=*/-1, /*conj=*/false, t, f);
+        EmitList(plan_.children(node), /*conj=*/false, t, f);
         return;
       case COp::kExists:
       case COp::kForall:
@@ -241,9 +220,12 @@ class Lowerer {
         EmitCount(node, t, f);
         return;
       case COp::kSetMember:
+        Emit({.op = VmOp::kSetMember, .a = node.a, .b = node.b, .t = t,
+              .f = f});
+        return;
       case COp::kExistsSet:
       case COp::kForallSet:
-        ok_ = false;  // MSO is not lowered: tree-engine fallback
+        EmitSetLoop(node, t, f);
         return;
     }
     FOLEARN_CHECK(false) << "unreachable";
@@ -268,16 +250,11 @@ class Lowerer {
     Emit(inst);
   }
 
-  // Short-circuit chain over a child list (minus the optional guard),
-  // fusing maximal consecutive literal runs into kAtomRun. `conj`: all
-  // children must hold (∧, reach t only at the end) vs any may hold (∨).
-  void EmitList(std::span<const int32_t> children, int32_t skip, bool conj,
-                int32_t t, int32_t f) {
-    std::vector<int32_t> items;
-    items.reserve(children.size());
-    for (int32_t i = 0; i < static_cast<int32_t>(children.size()); ++i) {
-      if (i != skip) items.push_back(children[i]);
-    }
+  // Short-circuit chain over a child list, fusing maximal consecutive
+  // literal runs into kAtomRun. `conj`: all children must hold (∧, reach t
+  // only at the end) vs any may hold (∨).
+  void EmitList(std::span<const int32_t> items, bool conj, int32_t t,
+                int32_t f) {
     if (items.empty()) {
       EmitJump(conj ? t : f);  // empty ∧ is true, empty ∨ is false
       return;
@@ -306,7 +283,7 @@ class Lowerer {
         inst.t = conj ? next : t;
         inst.f = conj ? f : next;
         Emit(inst);
-        ++atom_runs_;
+        ++out_.fused_atom_runs;
       } else if (run.size() == 1) {
         EmitLiteral(run[0], conj ? next : t, conj ? f : next);
       } else {
@@ -317,19 +294,13 @@ class Lowerer {
     }
   }
 
-  void EmitCheckpoint() {
-    if (counting_) Emit({.op = VmOp::kCheckpoint, .t = trip_label_});
-  }
-
-  // One level of a (fused) quantifier block as a full vertex scan. The
-  // counting lane checkpoints at the top of every iteration, exactly where
-  // the interpreter does.
+  // One level of a (fused) quantifier block as a full vertex scan.
   void EmitBlockLevel(const CompiledNode& node, int32_t level, int32_t t,
                       int32_t f) {
     const bool is_exists = node.op == COp::kExists;
     const int32_t slot = node.a + level;
     const bool innermost = level + 1 == node.b;
-    if (!counting_ && innermost) {
+    if (innermost) {
       RunRef run;
       if (TryFoldBody(node.child, &run)) {
         VmInst inst;
@@ -342,8 +313,8 @@ class Lowerer {
         inst.t = t;
         inst.f = f;
         Emit(inst);
-        ++superinstructions_;
-        ++atom_runs_;
+        ++out_.superinstructions;
+        ++out_.fused_atom_runs;
         return;
       }
     }
@@ -351,7 +322,6 @@ class Lowerer {
     const int32_t next = NewLabel();
     Emit({.op = VmOp::kScanBegin, .a = slot});
     Place(body);
-    EmitCheckpoint();
     const int32_t body_t = is_exists ? t : next;
     const int32_t body_f = is_exists ? next : f;
     if (innermost) {
@@ -366,38 +336,19 @@ class Lowerer {
           .f = is_exists ? f : t});
   }
 
-  // Guarded quantifiers. Fast lane: scan only the guard's domain (single
-  // vertex / neighbourhood / colour class) with the guard skipped from the
-  // body, fusing into one opcode when the rest of the body is pure
-  // literals. Counting lane: the interpreter's full scan over the complete
-  // child list, guard included at its original position.
+  // Guarded quantifiers scan only the guard's domain (single vertex /
+  // neighbourhood / colour class), fusing into one opcode when the rest of
+  // the body is pure literals.
   void EmitGuarded(const CompiledNode& node, int32_t t, int32_t f) {
     const bool is_exists = node.op == COp::kGuardedExists ||
                            node.op == COp::kColorGuardedExists ||
                            node.op == COp::kEqGuardedExists;
-    if (counting_) {
-      const int32_t body = NewLabel();
-      const int32_t next = NewLabel();
-      Emit({.op = VmOp::kScanBegin, .a = node.a});
-      Place(body);
-      EmitCheckpoint();
-      EmitList(plan_.children(node), /*skip=*/-1, is_exists,
-               is_exists ? t : next, is_exists ? next : f);
-      Place(next);
-      Emit({.op = VmOp::kScanNext,
-            .a = node.a,
-            .t = body,
-            .f = is_exists ? f : t});
-      return;
-    }
     const bool is_color = node.op == COp::kColorGuardedExists ||
                           node.op == COp::kColorGuardedForall;
     const bool is_equals = node.op == COp::kEqGuardedExists ||
                            node.op == COp::kEqGuardedForall;
-    const int32_t guard = node.threshold;
-    if (is_color) guard_colors_.push_back(node.b);
     RunRef run;
-    if (TryFoldList(plan_.children(node), guard, !is_exists, &run)) {
+    if (TryFoldList(plan_.children(node), !is_exists, &run)) {
       VmInst inst;
       inst.op = is_equals  ? VmOp::kEqBindAtoms
                 : is_color ? VmOp::kCScanAtoms
@@ -411,14 +362,14 @@ class Lowerer {
       inst.t = t;
       inst.f = f;
       Emit(inst);
-      ++superinstructions_;
-      ++atom_runs_;
+      ++out_.superinstructions;
+      ++out_.fused_atom_runs;
       return;
     }
     if (is_equals) {
       // Single-vertex domain: the quantifier's verdict is the body's.
       Emit({.op = VmOp::kEqBind, .a = node.a, .b = node.b});
-      EmitList(plan_.children(node), guard, is_exists, t, f);
+      EmitList(plan_.children(node), is_exists, t, f);
       return;
     }
     const int32_t frame = NewFrame();
@@ -431,7 +382,7 @@ class Lowerer {
           .c = frame,
           .f = exhausted});
     Place(body);
-    EmitList(plan_.children(node), guard, is_exists, is_exists ? t : next,
+    EmitList(plan_.children(node), is_exists, is_exists ? t : next,
              is_exists ? next : f);
     Place(next);
     Emit({.op = is_color ? VmOp::kCScanNext : VmOp::kNScanNext,
@@ -442,26 +393,23 @@ class Lowerer {
   }
 
   // ∃^{≥threshold}: the interpreter's loop with its early abort, either as
-  // one superinstruction (fast lane, pure-literal body) or as an explicit
-  // loop whose counting lane checkpoints once per evaluated vertex.
+  // one superinstruction (pure-literal body) or as an explicit loop.
   void EmitCount(const CompiledNode& node, int32_t t, int32_t f) {
-    if (!counting_) {
-      RunRef run;
-      if (TryFoldBody(node.child, &run)) {
-        VmInst inst;
-        inst.op = VmOp::kCntAtoms;
-        inst.flags = run.disj ? kFlagDisjunctive : 0;
-        inst.a = node.a;
-        inst.b = node.threshold;
-        inst.c = run.first;
-        inst.d = run.count;
-        inst.t = t;
-        inst.f = f;
-        Emit(inst);
-        ++superinstructions_;
-        ++atom_runs_;
-        return;
-      }
+    RunRef run;
+    if (TryFoldBody(node.child, &run)) {
+      VmInst inst;
+      inst.op = VmOp::kCntAtoms;
+      inst.flags = run.disj ? kFlagDisjunctive : 0;
+      inst.a = node.a;
+      inst.b = node.threshold;
+      inst.c = run.first;
+      inst.d = run.count;
+      inst.t = t;
+      inst.f = f;
+      Emit(inst);
+      ++out_.superinstructions;
+      ++out_.fused_atom_runs;
+      return;
     }
     const int32_t frame = NewFrame();
     const int32_t top = NewLabel();
@@ -474,7 +422,6 @@ class Lowerer {
           .c = frame});
     Place(top);
     Emit({.op = VmOp::kCntTop, .a = node.a, .c = frame, .f = exit});
-    EmitCheckpoint();
     EmitNode(node.child, hit, step);
     Place(hit);
     Emit({.op = VmOp::kCntHit, .c = frame});
@@ -484,46 +431,35 @@ class Lowerer {
     Emit({.op = VmOp::kCntExit, .c = frame, .t = t, .f = f});
   }
 
+  // ∃S / ∀S: the body once per subset mask of set slot node.a, in the
+  // interpreter's mask order.
+  void EmitSetLoop(const CompiledNode& node, int32_t t, int32_t f) {
+    const bool is_exists = node.op == COp::kExistsSet;
+    const int32_t body = NewLabel();
+    const int32_t next = NewLabel();
+    Emit({.op = VmOp::kSetBegin, .a = node.a});
+    Place(body);
+    EmitNode(node.child, is_exists ? t : next, is_exists ? next : f);
+    Place(next);
+    Emit({.op = VmOp::kSetNext,
+          .a = node.a,
+          .t = body,
+          .f = is_exists ? f : t});
+  }
+
   const CompiledFormula& plan_;
   const std::vector<CompiledNode>& nodes_;
-  const bool counting_;
 
+  LoweredPlan out_;
   std::vector<VmInst> code_;
   std::vector<VmAtom> atoms_;
   std::vector<int32_t> labels_;
-  std::vector<int32_t> guard_colors_;
-  int32_t num_frames_ = 0;
-  int32_t trip_label_ = -1;
-  int32_t superinstructions_ = 0;
-  int32_t atom_runs_ = 0;
-  bool ok_ = true;
 };
 
 }  // namespace
 
 LoweredPlan LowerPlan(const CompiledFormula& plan) {
-  LoweredPlan out;
-  for (const CompiledNode& node : plan.nodes()) {
-    if (node.op == COp::kSetMember || node.op == COp::kExistsSet ||
-        node.op == COp::kForallSet) {
-      return out;  // MSO: evaluate on the tree engine
-    }
-  }
-  Lowerer fast(plan, /*counting=*/false);
-  if (!fast.Lower(&out.fast, &out.guard_colors, &out.superinstructions,
-                  &out.fused_atom_runs)) {
-    return out;
-  }
-  std::vector<int32_t> unused_colors;
-  int32_t unused_supers = 0;
-  int32_t unused_runs = 0;
-  Lowerer counting(plan, /*counting=*/true);
-  if (!counting.Lower(&out.counting, &unused_colors, &unused_supers,
-                      &unused_runs)) {
-    return out;
-  }
-  out.supported = true;
-  return out;
+  return Lowerer(plan).Lower();
 }
 
 }  // namespace folearn

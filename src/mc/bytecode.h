@@ -8,17 +8,17 @@
 
 namespace folearn {
 
-// Lowering of compiled tree plans (mc/compiler.h) into linear, register-
-// based bytecode executed by the dispatch-loop VM in mc/vm.h.
+// Lowering of compiled plans (mc/compiler.h) into linear, register-based
+// bytecode executed by the dispatch-loop VM in mc/vm.h — the one program
+// every plan-based evaluation runs, governed or not, FO, FO+C or MSO.
 //
-// The tree engine (mc/compiled_eval.h) already fixes everything semantic —
-// slot assignment, guard selection, quantifier fusion, memo slots, the
-// two-lane evaluation contract — so the lowering's only job is to turn the
-// per-node recursion into straight-line code: quantifiers become loops with
-// backward jumps, connectives become jump-threaded short-circuit chains
-// (negation compiles to nothing — the child's true/false targets swap), and
-// the hot shapes collapse into superinstructions whose whole loop runs
-// inside one opcode handler:
+// The compiled plan already fixes everything semantic — slot assignment,
+// guard selection, quantifier fusion, memo slots — so the lowering's only
+// job is to turn the per-node recursion into straight-line code:
+// quantifiers become loops with backward jumps, connectives become
+// jump-threaded short-circuit chains (negation compiles to nothing — the
+// child's true/false targets swap), and the hot shapes collapse into
+// superinstructions whose whole loop runs inside one opcode handler:
 //
 //  * guard+quantifier fusion — an equality guard binds a single vertex
 //    (kEqBindAtoms), an edge guard scans Neighbors(x) (kNScanAtoms), a
@@ -29,21 +29,15 @@ namespace folearn {
 //    fuses loop + body into a single opcode (kScanAtoms, kCntAtoms, and
 //    the guarded forms above).
 //
-// Two programs are lowered per plan, mirroring the tree engine's lanes:
+// MSO set quantifiers lower to a loop over a per-set-slot subset mask
+// (kSetBegin/kSetNext, structures up to 22 vertices like the interpreter)
+// with kSetMember as the membership test.
 //
-//  * `fast` — superinstructions, guard domains, memo checks; only the
-//    verdict is observable.
-//  * `counting` — replays the interpreter instruction for instruction:
-//    full vertex scans with one kCheckpoint (governor checkpoint + branch
-//    count) per vertex per level, left-to-right short-circuit through the
-//    complete child list including the guard, no memo reads or writes.
-//    EvalStats counters and governor cut points come out byte-identical to
-//    mc/evaluator.cc.
-//
-// MSO set quantifiers are not lowered: LowerPlan returns supported=false
-// and the VM evaluator falls back to the tree engine (which is itself
-// byte-identical to the interpreter), so verdicts never depend on which
-// engine actually ran.
+// Loop back-edges (kScanNext, kNScanNext, kCScanNext, kCntStep, kSetNext)
+// are where a governed VM polls its ResourceGovernor; a poll that trips
+// jumps to the program's final kHaltTripped, so a cut run never writes a
+// memo. Program size is linear in the plan's expanded tree (a memo-shared
+// node is inlined at each occurrence).
 
 // Bytecode opcodes. Operand roles are per-opcode (see VmInst); `t`/`f` are
 // jump targets taken on true/false outcomes, -1 when the opcode falls
@@ -59,6 +53,7 @@ enum class VmOp : uint8_t {
   kEdge,   // E(env[a], env[b])
   kEquals, // env[a] == env[b]
   kColor,  // colour a = plan colour index b applied to env[a]
+  kSetMember, // env[a] ∈ set slot b (b < 0: free set variable, CHECK-fails)
 
   // A fused run of consecutive atoms: constant-pool entries
   // [c, c + d). Conjunctive (default): every entry's value must equal its
@@ -66,14 +61,9 @@ enum class VmOp : uint8_t {
   // (kFlagDisjunctive): first match jumps t, exhaustion jumps f.
   kAtomRun,
 
-  // Memoized closed subformulas (fast program only).
+  // Memoized closed subformulas.
   kMemoCheck, // memo slot a: jump t/f on a cached verdict, else fall through
   kMemoWrite, // memo slot a := b (0/1), then jump t
-
-  // Governor checkpoint + quantifier-branch count (counting program only).
-  // A trip jumps to t (the kHaltTripped instruction); otherwise falls
-  // through after counting one branch.
-  kCheckpoint,
 
   // Generic quantifier loop over all vertices: env[a] is the loop counter.
   kScanBegin, // CHECK order > 0; env[a] = 0; fall through into the body
@@ -94,6 +84,11 @@ enum class VmOp : uint8_t {
   kCntHit,   // --needed (body was true); falls through to kCntStep
   kCntStep,  // ++env[a]; jump t (the kCntTop)
   kCntExit,  // needed == 0 ? jump t : jump f
+
+  // MSO set quantifier over set slot a: the slot's subset mask enumerates
+  // all 2^order subsets (bit v = vertex v is a member).
+  kSetBegin, // CHECK order <= 22; mask = 0; fall through into the body
+  kSetNext,  // ++mask; jump t (body) while mask < 2^order, else f
 
   // Superinstructions: quantifier loop + pure-atom body in one opcode.
   // flags carry kFlagExists and kFlagDisjunctive; atoms [c, c + d).
@@ -134,48 +129,30 @@ struct VmInst {
   int32_t f = -1; // false / exhausted target
 };
 
-// One executable lane: the instruction stream plus its constant pool.
-// Execution starts at code[0]; every path ends in a kHalt*.
-struct BytecodeProgram {
+// A lowered plan: the instruction stream, its constant pool, and
+// lowering diagnostics. Execution starts at code[0]; every path ends in a
+// kHalt*, and the last instruction is the kHaltTripped a tripped governor
+// poll jumps to. Immutable after LowerPlan; shareable across threads and
+// graphs exactly like the plan it was lowered from (all per-graph state
+// lives in the VM).
+struct LoweredPlan {
   std::vector<VmInst> code;
   std::vector<VmAtom> atoms;
-  int32_t num_frames = 0; // loop frames the VM must allocate
-
-  int64_t bytes() const {
-    return static_cast<int64_t>(code.capacity()) * sizeof(VmInst) +
-           static_cast<int64_t>(atoms.capacity()) * sizeof(VmAtom);
-  }
-};
-
-// Both lanes of a lowered plan plus lowering diagnostics. Immutable after
-// LowerPlan; shareable across threads and graphs exactly like the tree
-// plan it was lowered from (all per-graph state lives in the VM).
-struct LoweredPlan {
-  // False when the plan contains MSO set quantification (or the program
-  // exceeded the size cap): the VM then delegates whole evaluations to the
-  // tree engine, which is differentially verified against the interpreter.
-  bool supported = false;
-  BytecodeProgram fast;
-  BytecodeProgram counting;
-  // Plan colour indices the fast program scans as guard domains. A graph
-  // that cannot resolve one of these names forces the tree-engine fallback
-  // (the tree engine reproduces the interpreter's lazy missing-colour
-  // semantics at the guard's original position).
-  std::vector<int32_t> guard_colors;
+  int32_t num_frames = 0;  // loop frames the VM must allocate
   // Diagnostics, surfaced by benches and the server's get-model stats.
   int32_t superinstructions = 0; // fused quantifier+atom-body opcodes
   int32_t fused_atom_runs = 0;   // kAtomRun + superinstruction runs
 
   int64_t bytes() const {
-    return static_cast<int64_t>(sizeof(LoweredPlan)) + fast.bytes() +
-           counting.bytes() +
-           static_cast<int64_t>(guard_colors.capacity()) * sizeof(int32_t);
+    return static_cast<int64_t>(sizeof(LoweredPlan)) +
+           static_cast<int64_t>(code.capacity()) * sizeof(VmInst) +
+           static_cast<int64_t>(atoms.capacity()) * sizeof(VmAtom);
   }
 };
 
-// Lowers `plan` into both bytecode lanes. Pure function of the plan: safe
-// to call concurrently, and the result may be cached and shared (the
-// PlanCache stores it next to the tree plan).
+// Lowers `plan` into its bytecode program. Pure function of the plan:
+// safe to call concurrently, and the result may be cached and shared (the
+// PlanCache stores it next to the plan).
 LoweredPlan LowerPlan(const CompiledFormula& plan);
 
 }  // namespace folearn

@@ -104,11 +104,7 @@ class FormulaCompiler {
   // Preference follows domain size: an equality guard qvar = z (∃) /
   // qvar ≠ z (∀) over an already-bound z pins a single vertex, an edge
   // guard E(qvar, z) / ¬E(qvar, z) iterates N(z), and a colour guard
-  // Red(qvar) / ¬Red(qvar) iterates the colour class. The guard compiles
-  // as an ordinary child node and the counting lane replays the
-  // interpreter's left-to-right short-circuit through the whole child
-  // list, so — unlike a leading-only rule — any position keeps atom/branch
-  // accounting byte-identical to the interpreter.
+  // Red(qvar) / ¬Red(qvar) iterates the colour class.
   std::optional<std::pair<int32_t, GuardKind>> GuardPos(
       const Formula& f) const {
     const std::string& qvar = f.quantified_var();
@@ -226,15 +222,12 @@ class FormulaCompiler {
         break;
     }
     node.a = next_slot_++;
-    node.threshold = guard_pos;
     ++plan_.guarded_nodes_;
 
-    // Children are the body's FULL conjunct/disjunct list — the guard
-    // included, compiled like any atom, its index in `threshold` — so the
-    // counting lane can replay the interpreter's short-circuit order
-    // through the list while the fast lane scans only the guard's domain
-    // (a single vertex / Neighbors(env[b]) / the colour class) with the
-    // guard skipped.
+    // Children are the body's conjunct/disjunct list minus the guard, in
+    // order: the guard holds (∃) / fails (∀) on every vertex of its domain
+    // (a single vertex / Neighbors(env[b]) / the colour class), the only
+    // vertices the quantifier scans.
     const FormulaRef& body = f->child(0);
     const FormulaKind list_kind =
         is_exists ? FormulaKind::kAnd : FormulaKind::kOr;
@@ -252,8 +245,12 @@ class FormulaCompiler {
 
     element_scope_.emplace_back(f->quantified_var(), node.a);
     std::vector<int32_t> children;
-    children.reserve(parts.size());
-    for (const FormulaRef& part : parts) children.push_back(Compile(part));
+    children.reserve(parts.size() - 1);
+    for (size_t i = 0; i < parts.size(); ++i) {
+      if (static_cast<int32_t>(i) != guard_pos) {
+        children.push_back(Compile(parts[i]));
+      }
+    }
     element_scope_.pop_back();
     return Emit(f, node, std::move(children));
   }

@@ -19,9 +19,9 @@ namespace folearn {
 // training example × quantifier branch), the classic query-plan split pays
 // off: `CompileFormula` resolves all variable occurrences to integer slots
 // once (de Bruijn-style frame indices), flattens the DAG into a contiguous
-// node array, and marks the specialisable hot shapes; the matching
-// `CompiledEvaluator` (mc/compiled_eval.h) then runs the plan over a plain
-// `Vertex env[]` with no string handling at all.
+// node array, and marks the specialisable hot shapes. The plan is the IR
+// the bytecode lowering (mc/bytecode.h) starts from; the VM (mc/vm.h) then
+// runs it over a plain `Vertex env[]` with no string handling at all.
 //
 // Specialisations emitted by the compiler:
 //  * guarded quantifiers — a guard atom anywhere in the body's top-level
@@ -30,9 +30,7 @@ namespace folearn {
 //    edge guard ∃y (… ∧ E(x,y) ∧ …) / ∀y (… ∨ ¬E(x,y) ∨ …) iterates
 //    Neighbors(x), and a colour guard ∃y (… ∧ Red(y) ∧ …) /
 //    ∀y (… ∨ ¬Red(y) ∨ …) iterates the colour class — preferred in that
-//    order (when ungoverned; the governed path keeps the full scan and
-//    replays the interpreter's left-to-right short-circuit so work
-//    accounting stays byte-identical);
+//    order;
 //  * quantifier blocks — maximal runs of same-kind quantifiers fuse into a
 //    single loop nest over consecutive slots (guard specialisation takes
 //    precedence at each level).
@@ -55,18 +53,18 @@ enum class COp : uint8_t {
   kOr,             // ∨ children
   kExists,         // fused block: slots [a, a+b), body = child
   kForall,         // fused block: slots [a, a+b), body = child
-  kGuardedExists,  // ∃ env[a] ∈ N(env[b]): ∧ children (full conjunct list;
-                   // children[threshold] is the edge guard)
-  kGuardedForall,  // ∀ env[a] ∈ N(env[b]): ∨ children (full disjunct list;
-                   // children[threshold] is the ¬edge guard)
+  kGuardedExists,  // ∃ env[a] ∈ N(env[b]): ∧ children (the conjuncts
+                   // other than the edge guard)
+  kGuardedForall,  // ∀ env[a] ∈ N(env[b]): ∨ children (the disjuncts
+                   // other than the ¬edge guard)
   kColorGuardedExists,  // ∃ env[a] with colour_names[b](env[a]): ∧ children
-                        // (children[threshold] is the colour guard)
-  kColorGuardedForall,  // ∀ env[a]: ∨ children; children[threshold] is the
-                        // ¬colour_names[b] guard
+                        // (the conjuncts other than the colour guard)
+  kColorGuardedForall,  // ∀ env[a] with colour_names[b](env[a]): ∨ children
+                        // (the disjuncts other than the ¬colour guard)
   kEqGuardedExists,     // ∃ env[a] = env[b]: ∧ children — evaluates the
                         // body at the single vertex env[b]
-  kEqGuardedForall,     // ∀ env[a]: ∨ children with ¬(env[a] = env[b])
-                        // guard — likewise a single-vertex body check
+  kEqGuardedForall,     // ∀ env[a] = env[b]: ∨ children — likewise a
+                        // single-vertex body check
   kCountExists,    // ∃^{≥threshold} env[a], body = child
   kSetMember,      // env[a] ∈ set slot b (b < 0: free set variable)
   kExistsSet,      // set slot a, body = child

@@ -4,7 +4,6 @@
 #include <chrono>
 
 #include "mc/bytecode.h"
-#include "mc/compiled_eval.h"
 #include "mc/compiler.h"
 #include "mc/vm.h"
 
@@ -13,7 +12,6 @@ namespace folearn {
 const char* EvalEngineName(EvalEngine engine) {
   switch (engine) {
     case EvalEngine::kVm: return "vm";
-    case EvalEngine::kCompiled: return "compiled";
     case EvalEngine::kInterpreted: return "interpreted";
   }
   return "unknown";
@@ -21,7 +19,6 @@ const char* EvalEngineName(EvalEngine engine) {
 
 std::optional<EvalEngine> ParseEvalEngine(const std::string& name) {
   if (name == "vm") return EvalEngine::kVm;
-  if (name == "compiled") return EvalEngine::kCompiled;
   if (name == "interpreted") return EvalEngine::kInterpreted;
   return std::nullopt;
 }
@@ -116,6 +113,13 @@ class Evaluator {
   Evaluator(const Graph& graph, const EvalOptions& options, EvalStats* stats)
       : graph_(graph), options_(options), stats_(stats) {}
 
+  // One tuple: charges the governor its one work unit, then evaluates.
+  bool EvalTuple(const FormulaRef& f, Assignment& assignment) {
+    if (!GovernorCheckpoint(options_.governor)) return false;
+    return Eval(f, assignment);
+  }
+
+ private:
   bool Eval(const FormulaRef& f, Assignment& assignment) {
     switch (f->kind()) {
       case FormulaKind::kTrue:
@@ -171,7 +175,7 @@ class Evaluator {
         const std::string& set_var = f->quantified_var();
         const uint64_t subsets = uint64_t{1} << graph_.order();
         for (uint64_t mask = 0; mask < subsets; ++mask) {
-          if (!GovernorCheckpoint(options_.governor)) return false;
+          if (!GovernorPoll(options_.governor)) return false;
           if (stats_ != nullptr) ++stats_->quantifier_branches;
           auto members = std::make_shared<std::vector<bool>>(graph_.order());
           for (Vertex v = 0; v < graph_.order(); ++v) {
@@ -192,7 +196,7 @@ class Evaluator {
         for (Vertex v = 0; v < graph_.order() && needed > 0; ++v) {
           // Early abort: not enough vertices left to reach the threshold.
           if (graph_.order() - v < needed) break;
-          if (!GovernorCheckpoint(options_.governor)) return false;
+          if (!GovernorPoll(options_.governor)) return false;
           if (stats_ != nullptr) ++stats_->quantifier_branches;
           assignment.Bind(var, v);
           if (Eval(f->child(0), assignment)) --needed;
@@ -207,7 +211,7 @@ class Evaluator {
         const bool is_exists = f->kind() == FormulaKind::kExists;
         const std::string& var = f->quantified_var();
         for (Vertex v = 0; v < graph_.order(); ++v) {
-          if (!GovernorCheckpoint(options_.governor)) return false;
+          if (!GovernorPoll(options_.governor)) return false;
           if (stats_ != nullptr) ++stats_->quantifier_branches;
           assignment.Bind(var, v);
           bool value = Eval(f->child(0), assignment);
@@ -221,7 +225,6 @@ class Evaluator {
     return false;
   }
 
- private:
   Vertex Value(const Assignment& assignment, const std::string& var) {
     std::optional<Vertex> value = assignment.Lookup(var);
     FOLEARN_CHECK(value.has_value()) << "unbound variable '" << var << "'";
@@ -246,13 +249,14 @@ double MsSince(SteadyClock::time_point start) {
       .count();
 }
 
-// Compile-then-evaluate for the one-shot entry points, routed to the tree
-// engine or the bytecode VM per ResolveEngine (the interpreted path never
-// reaches here). The clock is read only when a stats sink is attached.
-bool PlanEvalOnce(const Graph& graph, const FormulaRef& formula,
-                  std::span<const std::string> vars,
-                  std::span<const Vertex> tuple, const EvalOptions& options,
-                  EvalStats* stats) {
+// Compiles and lowers `formula` against `vars`, then evaluates every tuple
+// on one VM — the plan path of the entry points below. Stops at a governor
+// trip, keeping only the verdicts decided before it. The clock is read
+// only when a stats sink is attached.
+std::vector<bool> VmEvalTuples(const Graph& graph, const FormulaRef& formula,
+                               std::span<const std::string> vars,
+                               std::span<const std::vector<Vertex>> tuples,
+                               const EvalOptions& options, EvalStats* stats) {
   SteadyClock::time_point start;
   if (stats != nullptr) start = SteadyClock::now();
   CompiledFormula plan = CompileFormula(formula, vars);
@@ -260,25 +264,22 @@ bool PlanEvalOnce(const Graph& graph, const FormulaRef& formula,
     stats->compile_ms += MsSince(start);
     start = SteadyClock::now();
   }
-  if (ResolveEngine(options) == EvalEngine::kVm) {
-    LoweredPlan lowered = LowerPlan(plan);
-    VmEvaluator evaluator(plan, lowered, graph, options);
-    if (stats != nullptr) {
-      stats->lower_ms += MsSince(start);
-      start = SteadyClock::now();
-    }
-    bool value = evaluator.Eval(tuple, stats);
-    if (stats != nullptr) {
-      const double ms = MsSince(start);
-      stats->eval_ms += ms;
-      stats->exec_ms += ms;
-    }
-    return value;
+  LoweredPlan lowered = LowerPlan(plan);
+  VmEvaluator evaluator(plan, lowered, graph, options);
+  if (stats != nullptr) {
+    stats->lower_ms += MsSince(start);
+    start = SteadyClock::now();
   }
-  CompiledEvaluator evaluator(plan, graph, options);
-  bool value = evaluator.Eval(tuple, stats);
-  if (stats != nullptr) stats->eval_ms += MsSince(start);
-  return value;
+  std::vector<bool> results;
+  results.reserve(tuples.size());
+  for (const std::vector<Vertex>& tuple : tuples) {
+    FOLEARN_CHECK_EQ(tuple.size(), vars.size());
+    const bool verdict = evaluator.Eval(tuple, stats);
+    if (GovernorInterrupted(options.governor)) break;
+    results.push_back(verdict);
+  }
+  if (stats != nullptr) stats->exec_ms += MsSince(start);
+  return results;
 }
 
 }  // namespace
@@ -288,7 +289,7 @@ bool Evaluate(const Graph& graph, const FormulaRef& formula,
               EvalStats* stats) {
   FOLEARN_CHECK(formula != nullptr);
   Assignment working = assignment;
-  bool value = Evaluator(graph, options, stats).Eval(formula, working);
+  bool value = Evaluator(graph, options, stats).EvalTuple(formula, working);
   if (stats != nullptr) stats->status = GovernorStatus(options.governor);
   return value;
 }
@@ -299,22 +300,21 @@ bool EvaluateSentence(const Graph& graph, const FormulaRef& sentence,
       << "sentence expected, but formula has free variables";
   FOLEARN_CHECK(sentence->free_set_variables().empty())
       << "sentence expected, but formula has free set variables";
-  if (ResolveEngine(options) == EvalEngine::kInterpreted) {
-    return Evaluate(graph, sentence, Assignment(), options, stats);
-  }
-  return PlanEvalOnce(graph, sentence, {}, {}, options, stats);
+  return EvaluateQuery(graph, sentence, {}, {}, options, stats);
 }
 
 bool EvaluateQuery(const Graph& graph, const FormulaRef& formula,
                    std::span<const std::string> vars,
                    std::span<const Vertex> tuple, const EvalOptions& options,
                    EvalStats* stats) {
-  if (ResolveEngine(options) == EvalEngine::kInterpreted) {
+  if (options.engine == EvalEngine::kInterpreted) {
     return Evaluate(graph, formula, Assignment(vars, tuple), options, stats);
   }
   FOLEARN_CHECK(formula != nullptr);
-  FOLEARN_CHECK_EQ(vars.size(), tuple.size());
-  return PlanEvalOnce(graph, formula, vars, tuple, options, stats);
+  const std::vector<Vertex> single(tuple.begin(), tuple.end());
+  const std::vector<bool> verdicts = VmEvalTuples(
+      graph, formula, vars, std::span(&single, 1), options, stats);
+  return !verdicts.empty() && verdicts.front();
 }
 
 std::vector<bool> EvaluateOnTuples(
@@ -323,50 +323,16 @@ std::vector<bool> EvaluateOnTuples(
     const std::vector<std::vector<Vertex>>& tuples, const EvalOptions& options,
     EvalStats* stats) {
   FOLEARN_CHECK(formula != nullptr);
-  std::vector<bool> results;
-  results.reserve(tuples.size());
-  if (tuples.empty()) return results;
-
-  const EvalEngine engine = ResolveEngine(options);
-  if (engine != EvalEngine::kInterpreted) {
-    // One plan, one evaluator, all tuples — the batched fast path.
-    SteadyClock::time_point start;
-    if (stats != nullptr) start = SteadyClock::now();
-    CompiledFormula plan = CompileFormula(formula, vars);
-    if (stats != nullptr) {
-      stats->compile_ms += MsSince(start);
-      start = SteadyClock::now();
-    }
-    if (engine == EvalEngine::kVm) {
-      LoweredPlan lowered = LowerPlan(plan);
-      VmEvaluator evaluator(plan, lowered, graph, options);
-      if (stats != nullptr) {
-        stats->lower_ms += MsSince(start);
-        start = SteadyClock::now();
-      }
-      for (const std::vector<Vertex>& tuple : tuples) {
-        FOLEARN_CHECK_EQ(tuple.size(), vars.size());
-        results.push_back(evaluator.Eval(tuple, stats));
-      }
-      if (stats != nullptr) {
-        const double ms = MsSince(start);
-        stats->eval_ms += ms;
-        stats->exec_ms += ms;
-      }
-      return results;
-    }
-    CompiledEvaluator evaluator(plan, graph, options);
-    for (const std::vector<Vertex>& tuple : tuples) {
-      FOLEARN_CHECK_EQ(tuple.size(), vars.size());
-      results.push_back(evaluator.Eval(tuple, stats));
-    }
-    if (stats != nullptr) stats->eval_ms += MsSince(start);
-    return results;
+  if (tuples.empty()) return {};
+  if (options.engine == EvalEngine::kVm) {
+    return VmEvalTuples(graph, formula, vars, tuples, options, stats);
   }
 
-  // Interpreted fallback: build the assignment once and rebind per tuple
-  // (the evaluator restores the binding stacks after every call, even when
-  // the governor trips mid-recursion, so reuse is sound).
+  // Interpreter: build the assignment once and rebind per tuple (the
+  // evaluator restores the binding stacks after every call, even when the
+  // governor trips mid-recursion, so reuse is sound).
+  std::vector<bool> results;
+  results.reserve(tuples.size());
   Evaluator evaluator(graph, options, stats);
   Assignment assignment(vars, tuples.front());
   for (size_t i = 0; i < tuples.size(); ++i) {
@@ -377,7 +343,9 @@ std::vector<bool> EvaluateOnTuples(
         assignment.Rebind(vars[j], tuple[j]);
       }
     }
-    results.push_back(evaluator.Eval(formula, assignment));
+    const bool verdict = evaluator.EvalTuple(formula, assignment);
+    if (GovernorInterrupted(options.governor)) break;
+    results.push_back(verdict);
   }
   if (stats != nullptr) stats->status = GovernorStatus(options.governor);
   return results;

@@ -78,54 +78,49 @@ class Assignment {
   mutable size_t last_hit_ = 0;
 };
 
-// Which engine executes compiled-path evaluations. All three produce
-// byte-identical verdicts, EvalStats counters, and governor cut points
-// (enforced by the three-way differential grid in
-// compiled_vs_interpreted_test); they differ only in speed:
-//  * kVm — plans are lowered to register bytecode (mc/bytecode.h) run by a
-//    threaded-dispatch VM (mc/vm.h). The default and the fastest.
-//  * kCompiled — the PR 3 tree engine (mc/compiled_eval.h): flattened
-//    node-tree walk, retained as the VM's differential oracle and as the
-//    fallback for plans the lowering rejects.
-//  * kInterpreted — the recursive reference interpreter.
+// Which engine evaluates formulas. Both return identical verdicts and
+// charge a governor at identical points (one work unit per evaluated
+// tuple — see EvalOptions::governor), enforced by the differential grid in
+// compiled_vs_interpreted_test; they differ only in speed:
+//  * kVm — the formula is compiled (mc/compiler.h), lowered to register
+//    bytecode (mc/bytecode.h) and run by a threaded-dispatch VM
+//    (mc/vm.h). The default and the fast engine, for FO, FO+C and MSO.
+//  * kInterpreted — the recursive reference interpreter, the verdict
+//    oracle the VM is differentially tested against.
 enum class EvalEngine : uint8_t {
   kVm,
-  kCompiled,
   kInterpreted,
 };
 
-// CLI-facing engine names: "vm", "compiled", "interpreted".
+// CLI-facing engine names: "vm", "interpreted".
 const char* EvalEngineName(EvalEngine engine);
 // Inverse of EvalEngineName; nullopt for unknown names.
 std::optional<EvalEngine> ParseEvalEngine(const std::string& name);
 
 // Optional instrumentation for the evaluation experiments (E6).
 struct EvalStats {
+  // Interpreter-only diagnostics: atoms evaluated and quantifier branches
+  // (one per vertex binding or MSO subset) taken. The VM does not count
+  // them; they are not the governor's work unit.
   int64_t atom_evaluations = 0;
   int64_t quantifier_branches = 0;
-  // Wall-clock split of the compiled path: plan construction vs plan
-  // execution, accumulated across calls like the counters above. Both stay
-  // zero on the interpreted path (and when no stats sink is attached the
-  // clock is never read at all).
+  // Wall-clock split of the VM path: plan compilation, bytecode lowering
+  // (both amortized across calls when plans are cached), and bytecode
+  // execution, accumulated across calls. All stay zero on the interpreter
+  // (and when no stats sink is attached the clock is never read at all).
   double compile_ms = 0.0;
-  double eval_ms = 0.0;
-  // Finer-grained split for the VM engine: bytecode lowering (part of plan
-  // construction, amortized across calls when plans are cached) vs bytecode
-  // execution (also included in eval_ms). Zero on the other engines.
   double lower_ms = 0.0;
   double exec_ms = 0.0;
-  // Per-opcode dispatch tallies from the VM's counting lane, indexed by
-  // VmOp (mc/bytecode.h; names via VmOpName). Empty until a VM evaluation
-  // ran with this sink; sized kNumVmOps afterwards.
+  // Per-opcode dispatch tallies of the VM program, indexed by VmOp
+  // (mc/bytecode.h; names via VmOpName). Empty until a VM evaluation ran
+  // with this sink; sized kNumVmOps afterwards.
   std::vector<int64_t> vm_op_dispatches;
-  // Memo-table entries dropped to honour EvalOptions::cache_bytes
-  // (compiled path only; stays 0 when the budget is unlimited). Purely a
-  // performance signal: verdicts and work counts are identical with any
-  // budget.
+  // Memo-table entries dropped to honour EvalOptions::cache_bytes (VM
+  // only; stays 0 when the budget is unlimited). Purely a performance
+  // signal: verdicts are identical with any budget.
   int64_t cache_evictions = 0;
   // kComplete: the returned truth value is exact. Otherwise the governor
-  // tripped mid-evaluation and the returned value is unspecified (the
-  // recursion unwound early, possibly under a negation).
+  // tripped mid-evaluation and the returned value is unspecified.
   RunStatus status = RunStatus::kComplete;
 };
 
@@ -133,37 +128,32 @@ struct EvalOptions {
   // If true, colour atoms naming colours absent from the graph's vocabulary
   // evaluate to false (used after vocabulary-erasing transformations); if
   // false, such atoms CHECK-fail — the safer default for catching bugs.
+  // The VM also CHECK-fails, in strict mode, as soon as it reaches a
+  // quantifier guarded by such a colour, even if the interpreter's
+  // short-circuit would never have evaluated the atom.
   bool missing_color_is_false = false;
   // Engine for EvaluateSentence/EvaluateQuery/EvaluateOnTuples and
   // everything layered on them (training error, dataset labelling,
-  // enumeration ERM). Verdicts, work counts, and governor cut points are
-  // identical across engines; they differ only in speed. See ResolveEngine
-  // for the interaction with force_interpreter.
+  // enumeration ERM).
   EvalEngine engine = EvalEngine::kVm;
-  // Escape hatch predating `engine`: when set, routes everything through
-  // the interpreted reference evaluator regardless of `engine`. Kept so
-  // existing call sites (and saved configs) keep their meaning.
-  bool force_interpreter = false;
   // Optional resource governor (nullptr = ungoverned). Work unit: one
-  // quantifier branch (one vertex binding or one MSO subset). On a trip the
-  // evaluation unwinds immediately; the returned bool is then unspecified —
-  // check `stats->status` or the governor itself.
+  // evaluated tuple — each engine calls Checkpoint() once when it starts
+  // evaluating a tuple (one sentence, one query tuple, one example), so
+  // max_work and FaultInjector cut points are identical across engines
+  // and thread counts. Deadline, cancellation and the memory budget are
+  // additionally polled (ResourceGovernor::Poll, no work charged) at every
+  // quantifier loop iteration. On a trip the evaluation unwinds
+  // immediately; the returned bool is then unspecified — check
+  // `stats->status` or the governor itself.
   ResourceGovernor* governor = nullptr;
-  // Byte budget for the evaluation-side memo tables (the compiled
-  // evaluator's colour-member lists and the enumeration-ERM plan caches);
-  // −1 = unbounded. Memos over budget are recomputed on demand instead of
+  // Byte budget for the evaluation-side memo tables (the VM's
+  // colour-member lists and the enumeration-ERM plan caches); −1 =
+  // unbounded. Memos over budget are recomputed on demand instead of
   // retained, with deterministic (insertion-order) eviction; results are
   // identical with any budget. Evictions are reported via
   // EvalStats::cache_evictions.
   int64_t cache_bytes = -1;
 };
-
-// The engine that actually runs under `options`: force_interpreter wins,
-// otherwise options.engine.
-inline EvalEngine ResolveEngine(const EvalOptions& options) {
-  return options.force_interpreter ? EvalEngine::kInterpreted
-                                   : options.engine;
-}
 
 // The FO-MC substrate (paper §4): decides G ⊨ φ under `assignment` by the
 // standard recursive semantics. All free variables of φ must be bound.
@@ -176,30 +166,30 @@ inline EvalEngine ResolveEngine(const EvalOptions& options) {
 // structures up to ~22 vertices only (CHECK-enforced).
 //
 // This entry point always runs the recursive interpreter: it is the
-// reference oracle the compiled engine (mc/compiler.h, mc/compiled_eval.h)
-// is differentially tested against. The sentence/query/tuple-batch helpers
-// below compile by default and honour `options.force_interpreter`.
+// reference oracle the VM (mc/vm.h) is differentially tested against. It
+// charges options.governor one work unit. The sentence/query/tuple-batch
+// helpers below run options.engine.
 bool Evaluate(const Graph& graph, const FormulaRef& formula,
               const Assignment& assignment, const EvalOptions& options = {},
               EvalStats* stats = nullptr);
 
-// G ⊨ φ for a sentence φ (no free variables). Compiled unless
-// options.force_interpreter is set.
+// G ⊨ φ for a sentence φ (no free variables).
 bool EvaluateSentence(const Graph& graph, const FormulaRef& sentence,
                       const EvalOptions& options = {},
                       EvalStats* stats = nullptr);
 
-// G ⊨ φ(v̄) binding vars[i] ↦ tuple[i]. Compiled unless
-// options.force_interpreter is set.
+// G ⊨ φ(v̄) binding vars[i] ↦ tuple[i].
 bool EvaluateQuery(const Graph& graph, const FormulaRef& formula,
                    std::span<const std::string> vars,
                    std::span<const Vertex> tuple,
                    const EvalOptions& options = {},
                    EvalStats* stats = nullptr);
 
-// Evaluates φ(x1, …, xk) on every k-tuple in `tuples` (query answering).
-// One plan is compiled and reused across all tuples (the interpreted
-// fallback likewise builds its assignment once and rebinds per tuple).
+// Evaluates φ(x1, …, xk) on every k-tuple in `tuples` (query answering),
+// in order. One plan is compiled and reused across all tuples (the
+// interpreter likewise builds its assignment once and rebinds per tuple).
+// If the governor trips, the result holds the verdicts of the tuples
+// decided before the trip only.
 std::vector<bool> EvaluateOnTuples(
     const Graph& graph, const FormulaRef& formula,
     std::span<const std::string> vars,

@@ -10,11 +10,8 @@ namespace folearn {
 
 namespace {
 
-// Key = printed formula + frame + engine + options fingerprint, separated
-// by the unit separator (which cannot occur in formula text or variable
-// names). The engine/fingerprint suffix keeps a tree-only entry and a
-// tree+bytecode entry for the same formula distinct, so neither collides
-// with nor double-counts the other's byte budget.
+// Key = printed formula + frame + options fingerprint, separated by the
+// unit separator (which cannot occur in formula text or variable names).
 std::string MakeKey(const FormulaRef& formula,
                     std::span<const std::string> free_var_order,
                     const EvalOptions& options) {
@@ -23,8 +20,6 @@ std::string MakeKey(const FormulaRef& formula,
     key.push_back('\x1f');
     key.append(var);
   }
-  key.push_back('\x1f');
-  key.append(EvalEngineName(ResolveEngine(options)));
   key.push_back('\x1f');
   key.append(options.missing_color_is_false ? "mcf1" : "mcf0");
   return key;
@@ -65,8 +60,7 @@ int64_t PlanCache::EntryBytes(const std::string& key,
   FOLEARN_CHECK(entry.plan != nullptr);
   int64_t bytes =
       PlanPayloadBytes(*entry.plan) + 2 * StringBytes(key) + kPerEntryOverhead;
-  if (entry.bytecode != nullptr) bytes += entry.bytecode->bytes();
-  return bytes;
+  return bytes + entry.bytecode->bytes();
 }
 
 PlanCache::~PlanCache() {
@@ -118,19 +112,16 @@ CachedPlan PlanCache::GetOrCompile(const FormulaRef& formula,
     }
     ++misses_;
   }
-  // Compile (and for the VM engine, lower) outside the lock: plans can
-  // take a while and the cache must not serialise unrelated requests
-  // behind one compilation.
+  // Compile and lower outside the lock: plans can take a while and the
+  // cache must not serialise unrelated requests behind one compilation.
   CachedPlan entry;
   entry.plan = std::make_shared<const CompiledFormula>(
       CompileFormula(formula, free_var_order));
-  if (ResolveEngine(options) == EvalEngine::kVm) {
-    const auto start = std::chrono::steady_clock::now();
-    entry.bytecode = std::make_shared<const LoweredPlan>(LowerPlan(*entry.plan));
-    entry.lower_ms = std::chrono::duration<double, std::milli>(
-                         std::chrono::steady_clock::now() - start)
-                         .count();
-  }
+  const auto start = std::chrono::steady_clock::now();
+  entry.bytecode = std::make_shared<const LoweredPlan>(LowerPlan(*entry.plan));
+  entry.lower_ms = std::chrono::duration<double, std::milli>(
+                       std::chrono::steady_clock::now() - start)
+                       .count();
   const int64_t cost = EntryBytes(key, entry);
   std::lock_guard<std::mutex> lock(mu_);
   auto it = cache_.find(key);

@@ -18,14 +18,13 @@
 
 namespace folearn {
 
-// One cached compilation artefact: the tree plan, plus — for
-// EvalEngine::kVm entries — its lowered bytecode and how long the lowering
-// took (amortised across every reuse; surfaced by the server's get-model
-// stats). All members are immutable and shareable across threads and
-// graphs; per-graph state lives in the evaluators.
+// One cached compilation artefact: the plan, its lowered bytecode, and how
+// long the lowering took (amortised across every reuse; surfaced by the
+// server's get-model stats). All members are immutable and shareable
+// across threads and graphs; per-graph state lives in the VmEvaluators.
 struct CachedPlan {
   std::shared_ptr<const CompiledFormula> plan;
-  std::shared_ptr<const LoweredPlan> bytecode;  // null for non-VM entries
+  std::shared_ptr<const LoweredPlan> bytecode;
   double lower_ms = 0.0;
 };
 
@@ -38,18 +37,17 @@ struct CachedPlan {
 // Plans are immutable and explicitly shareable across threads and graphs
 // (mc/compiler.h), which makes them the one compilation artefact a server
 // can safely keep warm globally; the per-graph state (memo tables, colour
-// classes) lives in each CompiledEvaluator/VmEvaluator instead.
+// classes) lives in each VmEvaluator instead.
 //
-// Keying: (printed formula, free-variable frame, engine kind,
-// eval-options fingerprint). Printing canonicalises structurally equal
-// formulas parsed from different requests; the frame is part of the key
-// because slot assignment depends on it; the engine and options
-// fingerprint keep tree-only and tree+bytecode entries from colliding or
-// double-counting their byte budgets when a server mixes engines.
+// Keying: (printed formula, free-variable frame, eval-options
+// fingerprint). Printing canonicalises structurally equal formulas parsed
+// from different requests; the frame is part of the key because slot
+// assignment depends on it; the options fingerprint keeps callers with
+// different evaluation semantics (missing_color_is_false) apart.
 //
 // Budgeting mirrors BallCache: `bytes() <= max_bytes` is a hard invariant
 // maintained by FIFO eviction, the accounting covers the plan's node and
-// string payloads, the bytecode (when present), and per-entry
+// string payloads, the bytecode, and per-entry
 // key/metadata overhead, and a single entry larger than the whole budget
 // is returned uncached (the shared_ptrs keep it alive for the caller; the
 // cache remembers only that it happened).
@@ -77,12 +75,11 @@ class PlanCache {
   // tier drops the cache to a floor without destroying it).
   void Trim(int64_t target_bytes);
 
-  // Returns the cached artefacts for (formula, free_var_order,
-  // ResolveEngine(options), options fingerprint), compiling — and for the
-  // VM engine lowering — on a miss (budget permitting). Safe to call from
-  // any number of threads; compilation happens outside the lock, so two
-  // threads racing on the same key may both compile — the first insert
-  // wins and both get usable artefacts.
+  // Returns the cached artefacts for (formula, free_var_order, options
+  // fingerprint), compiling and lowering on a miss (budget permitting).
+  // Safe to call from any number of threads; compilation happens outside
+  // the lock, so two threads racing on the same key may both compile — the
+  // first insert wins and both get usable artefacts.
   CachedPlan GetOrCompile(const FormulaRef& formula,
                           std::span<const std::string> free_var_order,
                           const EvalOptions& options);
@@ -98,8 +95,8 @@ class PlanCache {
   int64_t entries() const;
   int64_t max_bytes() const { return max_bytes_; }
 
-  // Full footprint of one cache entry: plan payload + bytecode payload (if
-  // any) + key string + map and FIFO bookkeeping. Exposed for tests
+  // Full footprint of one cache entry: plan payload + bytecode payload +
+  // key string + map and FIFO bookkeeping. Exposed for tests
   // asserting the budget invariant.
   static int64_t EntryBytes(const std::string& key, const CachedPlan& entry);
 

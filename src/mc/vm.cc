@@ -55,23 +55,6 @@ VmEvaluator::VmEvaluator(const CompiledFormula& plan,
     color_rows_.push_back(
         color.has_value() ? graph.ColorWords(*color).data() : nullptr);
   }
-  bool runnable = lowered.supported;
-  if (runnable) {
-    // The fast program scans guard colour classes directly; a graph that
-    // cannot resolve one of those names must take the tree engine, whose
-    // full-scan path reproduces the interpreter's lazy missing-colour
-    // semantics at the guard's original position.
-    for (int32_t index : lowered.guard_colors) {
-      if (colors_[index] < 0) {
-        runnable = false;
-        break;
-      }
-    }
-  }
-  if (!runnable) {
-    fallback_.emplace(plan, graph, options);
-    return;
-  }
   if (edge_index_ == nullptr &&
       graph.order() <= VmGraphIndex::kAutoBuildOrder) {
     edge_index_ = VmGraphIndex::Build(graph);
@@ -80,17 +63,13 @@ VmEvaluator::VmEvaluator(const CompiledFormula& plan,
   if (edge_index_ != nullptr) scratch_body_.assign(edge_index_->stride, 0);
   env_.assign(plan.env_size(), 0);
   memo_.assign(plan.num_memo_slots(), -1);
-  frames_.resize(static_cast<size_t>(
-      std::max(lowered.fast.num_frames, lowered.counting.num_frames)));
+  frames_.resize(static_cast<size_t>(lowered.num_frames));
+  set_masks_.assign(plan.num_set_slots(), 0);
   color_members_.resize(colors_.size());
   color_members_ready_.assign(colors_.size(), false);
 }
 
 void VmEvaluator::ResetMemo() {
-  if (fallback_.has_value()) {
-    fallback_->ResetMemo();
-    return;
-  }
   memo_.assign(memo_.size(), -1);
   // An auto-built adjacency index is stale after a graph mutation (the
   // only reason to call ResetMemo); a caller-shared index is the caller's
@@ -138,20 +117,27 @@ void VmEvaluator::DropTransientColorMembers() {
 }
 
 bool VmEvaluator::Eval(std::span<const Vertex> tuple, EvalStats* stats) {
-  if (fallback_.has_value()) return fallback_->Eval(tuple, stats);
   FOLEARN_CHECK_EQ(tuple.size(), plan_.free_vars().size());
-  DropTransientColorMembers();
-  for (size_t i = 0; i < tuple.size(); ++i) {
-    env_[i] = tuple[i];
+  bool value = false;
+  // One work unit per tuple, charged before any evaluation work.
+  if (GovernorCheckpoint(options_.governor)) {
+    DropTransientColorMembers();
+    for (size_t i = 0; i < tuple.size(); ++i) {
+      env_[i] = tuple[i];
+    }
+    for (int32_t slot : plan_.used_free_slots()) {
+      FOLEARN_CHECK(graph_.IsValidVertex(env_[slot]))
+          << "variable '" << plan_.free_vars()[slot]
+          << "' bound to invalid vertex " << env_[slot];
+    }
+    if (stats != nullptr) {
+      value = Run<true, true>(stats);
+    } else if (options_.governor != nullptr) {
+      value = Run<true, false>(nullptr);
+    } else {
+      value = Run<false, false>(nullptr);
+    }
   }
-  for (int32_t slot : plan_.used_free_slots()) {
-    FOLEARN_CHECK(graph_.IsValidVertex(env_[slot]))
-        << "variable '" << plan_.free_vars()[slot]
-        << "' bound to invalid vertex " << env_[slot];
-  }
-  const bool counting = stats != nullptr || options_.governor != nullptr;
-  const bool value = counting ? Run<true>(lowered_.counting, stats)
-                              : Run<false>(lowered_.fast, nullptr);
   if (stats != nullptr) {
     stats->status = GovernorStatus(options_.governor);
     const int64_t total =
@@ -181,6 +167,12 @@ bool VmEvaluator::ColorHolds(int32_t index, Vertex v) {
     return false;
   }
   return (row[static_cast<uint32_t>(v) >> 6] >> (v & 63)) & 1;
+}
+
+void VmEvaluator::MissingGuardColor(int32_t index) const {
+  FOLEARN_CHECK(options_.missing_color_is_false)
+      << "colour '" << plan_.color_names()[index]
+      << "' not in the graph's vocabulary";
 }
 
 bool VmEvaluator::AtomHolds(const VmAtom& atom) {
@@ -438,23 +430,35 @@ bool VmEvaluator::VectorCountAtLeast(int32_t scan_slot, const VmAtom* first,
   return total >= needed;
 }
 
-// The dispatch loop. One handler body serves both lanes: kCounting is the
-// counting program (interpreter-identical checkpoints and counters, plus
-// per-opcode dispatch tallies), !kCounting the fast program. Handlers read
-// the instruction through `ip`, then either fall through (++ip) or jump
-// (ip = code + target); every path terminates in a kHalt*.
-template <bool kCounting>
-bool VmEvaluator::Run(const BytecodeProgram& program, EvalStats* stats) {
-  const VmInst* const code = program.code.data();
-  const VmAtom* const atoms = program.atoms.data();
+// The dispatch loop. Handlers read the instruction through `ip`, then
+// either fall through (++ip) or jump (ip = code + target); every path
+// terminates in a kHalt*. kPoll polls the governor (if any) at loop
+// back-edges (VM_POLL), jumping to the program's final kHaltTripped on a
+// trip; kCount tallies every dispatch into `stats`.
+template <bool kPoll, bool kCount>
+bool VmEvaluator::Run(EvalStats* stats) {
+  const VmInst* const code = lowered_.code.data();
+  const VmAtom* const atoms = lowered_.atoms.data();
+  [[maybe_unused]] const VmInst* const tripped =
+      code + lowered_.code.size() - 1;
+  [[maybe_unused]] ResourceGovernor* const governor = options_.governor;
   const VmInst* ip = code;
   [[maybe_unused]] int64_t counts[kNumVmOps] = {};
   bool result = false;
 
 #define VM_COUNT()                                      \
   do {                                                  \
-    if constexpr (kCounting) {                          \
+    if constexpr (kCount) {                             \
       ++counts[static_cast<int>(ip->op)];               \
+    }                                                   \
+  } while (0)
+#define VM_POLL()                                       \
+  do {                                                  \
+    if constexpr (kPoll) {                              \
+      if (!GovernorPoll(governor)) {                    \
+        ip = tripped;                                   \
+        VM_DISPATCH();                                  \
+      }                                                 \
     }                                                   \
   } while (0)
 
@@ -463,14 +467,14 @@ bool VmEvaluator::Run(const BytecodeProgram& program, EvalStats* stats) {
   static const void* const kJump[kNumVmOps] = {
       &&op_kHaltTrue,    &&op_kHaltFalse,  &&op_kHaltTripped,
       &&op_kJump,        &&op_kEdge,       &&op_kEquals,
-      &&op_kColor,       &&op_kAtomRun,    &&op_kMemoCheck,
-      &&op_kMemoWrite,   &&op_kCheckpoint, &&op_kScanBegin,
+      &&op_kColor,       &&op_kSetMember,  &&op_kAtomRun,
+      &&op_kMemoCheck,   &&op_kMemoWrite,  &&op_kScanBegin,
       &&op_kScanNext,    &&op_kEqBind,     &&op_kNScanBegin,
       &&op_kNScanNext,   &&op_kCScanBegin, &&op_kCScanNext,
       &&op_kCntBegin,    &&op_kCntTop,     &&op_kCntHit,
-      &&op_kCntStep,     &&op_kCntExit,    &&op_kScanAtoms,
-      &&op_kEqBindAtoms, &&op_kNScanAtoms, &&op_kCScanAtoms,
-      &&op_kCntAtoms,
+      &&op_kCntStep,     &&op_kCntExit,    &&op_kSetBegin,
+      &&op_kSetNext,     &&op_kScanAtoms,  &&op_kEqBindAtoms,
+      &&op_kNScanAtoms,  &&op_kCScanAtoms, &&op_kCntAtoms,
   };
 #define VM_DISPATCH()                                   \
   do {                                                  \
@@ -509,24 +513,22 @@ vm_dispatch:
     VM_DISPATCH();
   }
   VM_CASE(kEdge) {
-    if constexpr (kCounting) {
-      if (stats != nullptr) ++stats->atom_evaluations;
-    }
     ip = code + (EdgeHolds(env_[ip->a], env_[ip->b]) ? ip->t : ip->f);
     VM_DISPATCH();
   }
   VM_CASE(kEquals) {
-    if constexpr (kCounting) {
-      if (stats != nullptr) ++stats->atom_evaluations;
-    }
     ip = code + (env_[ip->a] == env_[ip->b] ? ip->t : ip->f);
     VM_DISPATCH();
   }
   VM_CASE(kColor) {
-    if constexpr (kCounting) {
-      if (stats != nullptr) ++stats->atom_evaluations;
-    }
     ip = code + (ColorHolds(ip->b, env_[ip->a]) ? ip->t : ip->f);
+    VM_DISPATCH();
+  }
+  VM_CASE(kSetMember) {
+    FOLEARN_CHECK(ip->b >= 0)
+        << "unbound set variable '" << plan_.free_set_names()[-ip->b - 1]
+        << "'";
+    ip = code + ((set_masks_[ip->b] >> env_[ip->a]) & 1 ? ip->t : ip->f);
     VM_DISPATCH();
   }
   VM_CASE(kAtomRun) {
@@ -535,9 +537,6 @@ vm_dispatch:
     const bool disj = (ip->flags & kFlagDisjunctive) != 0;
     bool verdict = !disj;
     for (; atom != end; ++atom) {
-      if constexpr (kCounting) {
-        if (stats != nullptr) ++stats->atom_evaluations;
-      }
       if (AtomHolds(*atom) == disj) {
         verdict = disj;
         break;
@@ -560,17 +559,6 @@ vm_dispatch:
     ip = code + ip->t;
     VM_DISPATCH();
   }
-  VM_CASE(kCheckpoint) {
-    // Interpreter order: a failed checkpoint unwinds before the branch is
-    // counted.
-    if (!GovernorCheckpoint(options_.governor)) {
-      ip = code + ip->t;
-    } else {
-      if (stats != nullptr) ++stats->quantifier_branches;
-      ++ip;
-    }
-    VM_DISPATCH();
-  }
   VM_CASE(kScanBegin) {
     FOLEARN_CHECK_GT(graph_.order(), 0)
         << "quantifier evaluated on the empty graph";
@@ -579,6 +567,7 @@ vm_dispatch:
     VM_DISPATCH();
   }
   VM_CASE(kScanNext) {
+    VM_POLL();
     ip = code + (++env_[ip->a] < graph_.order() ? ip->t : ip->f);
     VM_DISPATCH();
   }
@@ -605,6 +594,7 @@ vm_dispatch:
     VM_DISPATCH();
   }
   VM_CASE(kNScanNext) {
+    VM_POLL();
     Frame& frame = frames_[ip->c];
     if (++frame.cur == frame.end) {
       ip = code + ip->f;
@@ -617,6 +607,11 @@ vm_dispatch:
   VM_CASE(kCScanBegin) {
     FOLEARN_CHECK_GT(graph_.order(), 0)
         << "quantifier evaluated on the empty graph";
+    if (colors_[ip->b] < 0) {
+      MissingGuardColor(ip->b);
+      ip = code + ip->f;
+      VM_DISPATCH();
+    }
     const std::vector<Vertex>& members = ColorMembers(ip->b);
     Frame& frame = frames_[ip->c];
     frame.cur = members.data();
@@ -630,6 +625,7 @@ vm_dispatch:
     VM_DISPATCH();
   }
   VM_CASE(kCScanNext) {
+    VM_POLL();
     Frame& frame = frames_[ip->c];
     if (++frame.cur == frame.end) {
       ip = code + ip->f;
@@ -666,12 +662,28 @@ vm_dispatch:
     VM_DISPATCH();
   }
   VM_CASE(kCntStep) {
+    VM_POLL();
     ++env_[ip->a];
     ip = code + ip->t;
     VM_DISPATCH();
   }
   VM_CASE(kCntExit) {
     ip = code + (frames_[ip->c].needed == 0 ? ip->t : ip->f);
+    VM_DISPATCH();
+  }
+  VM_CASE(kSetBegin) {
+    FOLEARN_CHECK_LE(graph_.order(), 22)
+        << "MSO set quantification enumerates 2^n subsets; structure too "
+           "large";
+    set_masks_[ip->a] = 0;
+    ++ip;
+    VM_DISPATCH();
+  }
+  VM_CASE(kSetNext) {
+    VM_POLL();
+    ip = code + (++set_masks_[ip->a] < uint64_t{1} << graph_.order()
+                     ? ip->t
+                     : ip->f);
     VM_DISPATCH();
   }
   VM_CASE(kScanAtoms) {
@@ -681,7 +693,7 @@ vm_dispatch:
     const bool disj = (ip->flags & kFlagDisjunctive) != 0;
     const VmAtom* const first = atoms + ip->c;
     bool verdict;
-    if (!kCounting && edge_index_ != nullptr) {
+    if (edge_index_ != nullptr) {
       // Word-parallel: the body set over all vertices in O(order/64).
       verdict = VectorQuantifier(nullptr, ip->a, first, ip->d, disj,
                                  is_exists);
@@ -717,7 +729,7 @@ vm_dispatch:
     const VmAtom* const first = atoms + ip->c;
     const std::span<const Vertex> neighbors = graph_.Neighbors(env_[ip->b]);
     bool verdict;
-    if (!kCounting && edge_index_ != nullptr &&
+    if (edge_index_ != nullptr &&
         static_cast<int32_t>(neighbors.size()) > edge_index_->stride) {
       // Dense pivot: bitset algebra over the adjacency row beats walking
       // the neighbour list (sparser pivots keep the scalar loop).
@@ -743,9 +755,10 @@ vm_dispatch:
     const bool disj = (ip->flags & kFlagDisjunctive) != 0;
     const VmAtom* const first = atoms + ip->c;
     bool verdict;
-    // Guard colours are guaranteed resolved (see the runnable check), so
-    // the index's colour row is the exact scan domain.
-    if (!kCounting && edge_index_ != nullptr) {
+    if (colors_[ip->b] < 0) {
+      MissingGuardColor(ip->b);
+      verdict = !is_exists;  // empty domain
+    } else if (edge_index_ != nullptr) {
       verdict = VectorQuantifier(edge_index_->ColorRow(colors_[ip->b]),
                                  ip->a, first, ip->d, disj, is_exists);
     } else {
@@ -767,7 +780,7 @@ vm_dispatch:
     const bool disj = (ip->flags & kFlagDisjunctive) != 0;
     const VmAtom* const first = atoms + ip->c;
     bool verdict;
-    if (!kCounting && edge_index_ != nullptr) {
+    if (edge_index_ != nullptr) {
       // Popcount of the body set (the scalar loop's early abort is a pure
       // speed trick — the verdict is the same threshold test).
       verdict = VectorCountAtLeast(ip->a, first, ip->d, disj, ip->b);
@@ -789,7 +802,7 @@ vm_dispatch:
 #endif
 
 vm_done:
-  if constexpr (kCounting) {
+  if constexpr (kCount) {
     if (stats != nullptr) {
       if (stats->vm_op_dispatches.size() <
           static_cast<size_t>(kNumVmOps)) {
@@ -803,11 +816,13 @@ vm_done:
   return result;
 
 #undef VM_COUNT
+#undef VM_POLL
 #undef VM_DISPATCH
 #undef VM_CASE
 }
 
-template bool VmEvaluator::Run<false>(const BytecodeProgram&, EvalStats*);
-template bool VmEvaluator::Run<true>(const BytecodeProgram&, EvalStats*);
+template bool VmEvaluator::Run<false, false>(EvalStats*);
+template bool VmEvaluator::Run<true, false>(EvalStats*);
+template bool VmEvaluator::Run<true, true>(EvalStats*);
 
 }  // namespace folearn

@@ -3,15 +3,14 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
 #include <vector>
 
 #include "graph/graph.h"
 #include "mc/bytecode.h"
-#include "mc/compiled_eval.h"
 #include "mc/compiler.h"
 #include "mc/evaluator.h"
+#include "util/governor.h"
 
 // Dispatch strategy for the VM's inner loop: computed goto (one indirect
 // branch per handler, the branch predictor sees per-opcode history) under
@@ -74,18 +73,17 @@ struct VmGraphIndex {
 };
 
 // Executes a lowered bytecode plan (mc/bytecode.h) against one graph.
-// Drop-in peer of CompiledEvaluator with the same contract: construction
-// binds plan + bytecode to the graph (colour names resolve once, buffers
-// allocate once), then Eval serves any number of tuples. The same two-lane
-// rules apply — ungoverned, unstatted calls run the `fast` program
-// (superinstructions, guard domains, memos); calls with a governor or an
-// EvalStats sink run the `counting` program, whose counters and governor
-// cut points are byte-identical to the interpreter and the tree engine.
-//
-// Plans the lowering rejects (MSO set quantifiers, oversized programs) and
-// graphs that cannot resolve a fast-lane guard colour delegate every call
-// to an internal tree-engine fallback, so verdicts never depend on which
-// engine actually ran.
+// Construction binds plan + bytecode to the graph (colour names resolve
+// once, buffers allocate once), then Eval serves any number of tuples —
+// compile once, evaluate per tuple, with sentence-valued subformulas
+// memoized per graph. Every call runs the same program: a governor
+// (EvalOptions::governor, or one attached per call with set_governor) is
+// charged one work unit per Eval call and polled at the program's loop
+// back-edges; an EvalStats sink only tallies opcode dispatches. Verdicts
+// equal the interpreter's (mc/evaluator.h), with one difference in strict
+// mode: a guard colour the graph lacks CHECK-fails as soon as its guarded
+// quantifier is reached (under missing_color_is_false the guard's domain
+// is simply empty).
 //
 // Not thread-safe: one evaluator per thread (plans and LoweredPlans may be
 // shared freely).
@@ -100,10 +98,20 @@ class VmEvaluator {
               const Graph& graph, const EvalOptions& options = {},
               std::shared_ptr<const VmGraphIndex> edge_index = nullptr);
 
-  // Decides G ⊨ φ(tuple); same signature and semantics as
-  // CompiledEvaluator::Eval. With `stats`, the VM additionally accumulates
-  // per-opcode dispatch counts into stats->vm_op_dispatches.
+  // Decides G ⊨ φ(tuple) with free slot i ↦ tuple[i]; tuple must have
+  // exactly plan.free_vars().size() entries. A governor trip (at the
+  // call's checkpoint or a back-edge poll) returns an unspecified verdict
+  // and leaves the memo untouched by the cut run. With `stats`, the VM
+  // accumulates per-opcode dispatch counts into stats->vm_op_dispatches
+  // and sets stats->status from the governor.
   bool Eval(std::span<const Vertex> tuple, EvalStats* stats = nullptr);
+
+  // Attaches the governor later Eval calls charge and poll (nullptr
+  // detaches): lets one warm evaluator serve requests with different
+  // limits.
+  void set_governor(ResourceGovernor* governor) {
+    options_.governor = governor;
+  }
 
   // Drops memoized subformula verdicts and colour-member lists (needed
   // only if the bound graph is mutated between calls).
@@ -111,22 +119,25 @@ class VmEvaluator {
 
   const CompiledFormula& plan() const { return plan_; }
   const LoweredPlan& lowered() const { return lowered_; }
-  // True when this evaluator delegates to the tree engine (unsupported
-  // plan or unresolved guard colour on this graph).
-  bool uses_fallback() const { return fallback_.has_value(); }
 
  private:
-  template <bool kCounting>
-  bool Run(const BytecodeProgram& program, EvalStats* stats);
+  // The dispatch loop. kPoll (a governor or a stats sink is attached)
+  // adds the back-edge governor polls, kCount (a stats sink) the
+  // dispatch tallies.
+  template <bool kPoll, bool kCount>
+  bool Run(EvalStats* stats);
 
   // Unchecked bit-test atom primitives over the dense adjacency index and
   // the graph's raw colour bitmaps; ColorHolds keeps the interpreter's
   // lazy missing-colour semantics (CHECK or false).
   bool EdgeHolds(Vertex u, Vertex v);
   bool ColorHolds(int32_t index, Vertex v);
+  // A colour-guarded quantifier reached with a guard colour the graph
+  // lacks: CHECK-fails unless missing_color_is_false (then the guard's
+  // domain is empty).
+  void MissingGuardColor(int32_t index) const;
 
-  // Word-parallel quantifier bodies (fast lane only; the counting lane
-  // replays the interpreter instruction for instruction). BodySet fills
+  // Word-parallel quantifier bodies. BodySet fills
   // scratch_body_ with the set of scan-variable values satisfying the
   // atom run — colour atoms contribute their bitmap row, edge atoms the
   // pivot's adjacency row, equalities a singleton, scan-free atoms a
@@ -148,13 +159,14 @@ class VmEvaluator {
   // semantics (CHECK or false) for colour atoms.
   bool AtomHolds(const VmAtom& atom);
   // Evaluates atoms [first, first + count) as a conjunction (disj=false)
-  // or disjunction (disj=true). Fast-lane superinstructions only — does
-  // not count atom evaluations.
+  // or disjunction (disj=true).
   bool RunAtoms(const VmAtom* first, int32_t count, bool disj);
 
-  // Colour-member lists with the tree engine's exact byte-budget
-  // semantics (transient marking over EvalOptions::cache_bytes, dropped at
-  // the next call boundary, evictions reported monotonically).
+  // Vertices of the plan's colour `index`, computed on first use and kept
+  // until ResetMemo. Under EvalOptions::cache_bytes, lists past the budget
+  // are marked transient: they survive the current call (an enclosing
+  // scan frame may hold a live span into one) and the next call's
+  // prologue drops them; evictions are reported monotonically.
   const std::vector<Vertex>& ColorMembers(int32_t index);
   void DropTransientColorMembers();
 
@@ -169,9 +181,6 @@ class VmEvaluator {
   const LoweredPlan& lowered_;
   const Graph& graph_;
   EvalOptions options_;
-  // Engaged when the lowered plan is unsupported or a guard colour is
-  // unresolved on this graph; then every call delegates wholesale.
-  std::optional<CompiledEvaluator> fallback_;
   // Bit-test atom domains: the shared (or auto-built) adjacency matrix and
   // one raw membership row per resolved plan colour (nullptr otherwise).
   std::shared_ptr<const VmGraphIndex> edge_index_;
@@ -183,6 +192,7 @@ class VmEvaluator {
   std::vector<Vertex> env_;
   std::vector<int8_t> memo_;  // -1 unknown, else the cached verdict
   std::vector<Frame> frames_;
+  std::vector<uint64_t> set_masks_;  // per bound set slot: member bits
   std::vector<std::vector<Vertex>> color_members_;
   std::vector<bool> color_members_ready_;
   int64_t color_member_bytes_ = 0;

@@ -25,7 +25,6 @@
 #include "learn/hypothesis.h"
 #include "learn/model_io.h"
 #include "mc/bytecode.h"
-#include "mc/compiled_eval.h"
 #include "mc/vm.h"
 #include "types/type.h"
 
@@ -200,32 +199,15 @@ Status CheckModelFits(const Hypothesis& hypothesis, const Graph& graph,
   return OkStatus();
 }
 
-// One evaluator of whichever engine the server runs, bound to one graph.
-// Holds the plan-cache entry so the plan (and bytecode) stay alive even
-// after the shared cache evicts them. The VM lane is taken only when the
-// entry actually carries supported bytecode; anything else (tree-engine
-// server, MSO plan the lowerer rejected) runs the compiled tree.
-struct EngineEvaluator {
+// A warm VM bound to one graph. Holds the plan-cache entry so the plan and
+// bytecode stay alive even after the shared cache evicts them.
+struct WarmEvaluator {
   CachedPlan cached;
-  std::unique_ptr<CompiledEvaluator> tree;
-  std::unique_ptr<VmEvaluator> vm;
+  VmEvaluator vm;
 
-  EngineEvaluator(const CachedPlan& entry, const Graph& graph,
-                  const EvalOptions& options)
-      : cached(entry) {
-    if (ResolveEngine(options) == EvalEngine::kVm &&
-        cached.bytecode != nullptr) {
-      vm = std::make_unique<VmEvaluator>(*cached.plan, *cached.bytecode,
-                                         graph, options);
-    } else {
-      tree = std::make_unique<CompiledEvaluator>(*cached.plan, graph,
-                                                 options);
-    }
-  }
-
-  bool Eval(std::span<const Vertex> tuple) {
-    return vm != nullptr ? vm->Eval(tuple) : tree->Eval(tuple);
-  }
+  WarmEvaluator(const CachedPlan& entry, const Graph& graph,
+                const EvalOptions& options)
+      : cached(entry), vm(*entry.plan, *entry.bytecode, graph, options) {}
 };
 
 double MsSince(std::chrono::steady_clock::time_point start) {
@@ -296,13 +278,12 @@ struct Server::Session {
   struct ModelEntry {
     std::string text;
     std::optional<Hypothesis> parsed;
-    // Per-model evaluation telemetry, surfaced by get-model. Wall-clock
-    // only: attaching an EvalStats sink would route the hot path through
-    // the engines' slow counting lane.
+    // Per-model evaluation telemetry, surfaced by get-model (wall clock
+    // and program shape only).
     int64_t evals = 0;             // example/tuple evaluations so far
     double exec_ms = 0.0;          // cumulative evaluation wall time
-    double lower_ms = 0.0;         // bytecode lowering cost (VM, once)
-    int64_t vm_instructions = 0;   // fast-lane program size (VM only)
+    double lower_ms = 0.0;         // bytecode lowering cost (once)
+    int64_t vm_instructions = 0;   // bytecode program size
     int64_t vm_superinstructions = 0;
 
     // Folds `count` evaluations of `run` into the telemetry.
@@ -310,11 +291,9 @@ struct Server::Session {
       evals += count;
       exec_ms += run.exec_ms;
       lower_ms = run.cached.lower_ms;
-      const LoweredPlan* bytecode = run.cached.bytecode.get();
-      if (bytecode != nullptr && bytecode->supported) {
-        vm_instructions = static_cast<int64_t>(bytecode->fast.code.size());
-        vm_superinstructions = bytecode->superinstructions;
-      }
+      const LoweredPlan& bytecode = *run.cached.bytecode;
+      vm_instructions = static_cast<int64_t>(bytecode.code.size());
+      vm_superinstructions = bytecode.superinstructions;
     }
   };
   std::map<uint64_t, ModelEntry> models;  // ordered: stable listing/journal
@@ -340,24 +319,24 @@ struct Server::Session {
 
   // Warm per-graph evaluators, keyed by plan identity (the plan cache
   // hands out stable shared_ptrs; a recompiled plan gets a fresh
-  // evaluator). The EngineEvaluator holds the whole cache entry, so plan
+  // evaluator). The WarmEvaluator holds the whole cache entry, so plan
   // and bytecode stay alive even if the plan cache evicts them. Bounded:
   // cleared wholesale when it outgrows kMaxWarmEvaluators — per-graph
   // memos are cheap to rebuild.
   static constexpr size_t kMaxWarmEvaluators = 64;
-  std::unordered_map<const CompiledFormula*, EngineEvaluator> evaluators;
+  std::unordered_map<const CompiledFormula*, WarmEvaluator> evaluators;
 
-  EngineEvaluator* WarmEvaluator(const CachedPlan& cached,
-                                 const EvalOptions& options) {
+  VmEvaluator& Evaluator(const CachedPlan& cached,
+                         const EvalOptions& options) {
     auto it = evaluators.find(cached.plan.get());
-    if (it != evaluators.end()) return &it->second;
+    if (it != evaluators.end()) return it->second.vm;
     if (evaluators.size() >= kMaxWarmEvaluators) evaluators.clear();
     auto [pos, inserted] = evaluators.emplace(
         std::piecewise_construct,
         std::forward_as_tuple(cached.plan.get()),
         std::forward_as_tuple(cached, graph, options));
     (void)inserted;
-    return &pos->second;
+    return pos->second.vm;
   }
 
   // The durable view of this session, in journal layout.
@@ -446,10 +425,9 @@ struct Server::RequestContext {
   }
 
   // Evaluate/query options; plans compile under these (no governor).
-  EvalOptions ServingEvalOptions() const {
+  static EvalOptions ServingEvalOptions() {
     EvalOptions eval_options;
     eval_options.missing_color_is_false = true;  // external model files
-    eval_options.engine = options.eval_engine;
     return eval_options;
   }
 
@@ -482,23 +460,19 @@ struct Server::RequestContext {
   }
 
   // The evaluation core of evaluate and query: evaluates `cached` on
-  // tuple ++ params for each tuple, in order, under the request's
-  // governor. Ungoverned runs use the session's warm evaluator (and its
-  // per-graph memo); a governed run uses a throwaway one so the warm
-  // evaluator never observes a trip. A trip stops the run and marks
-  // `response` partial. The caller holds the session lock.
+  // tuple ++ params for each tuple, in order, on the session's warm
+  // evaluator (and its per-graph memo), with the request's governor
+  // attached for the call — one work unit per tuple; a cut run leaves the
+  // memo untouched. A trip stops the run and marks `response` partial.
+  // The caller holds the session lock.
   EvalRun RunGoverned(const CachedPlan& cached,
                       std::span<const Vertex> params,
                       std::span<const std::span<const Vertex>> tuples,
                       Message* response) {
-    EvalOptions eval_options = ServingEvalOptions();
     ResourceGovernor* governor = Governor();
-    eval_options.governor = governor;
-    std::optional<EngineEvaluator> scratch;
-    EngineEvaluator* evaluator =
-        governor != nullptr
-            ? &scratch.emplace(cached, session->graph, eval_options)
-            : session->WarmEvaluator(cached, eval_options);
+    VmEvaluator& evaluator =
+        session->Evaluator(cached, ServingEvalOptions());
+    evaluator.set_governor(governor);
     EvalRun run;
     run.cached = cached;
     std::vector<Vertex> env;
@@ -506,13 +480,14 @@ struct Server::RequestContext {
     for (std::span<const Vertex> tuple : tuples) {
       env.assign(tuple.begin(), tuple.end());
       env.insert(env.end(), params.begin(), params.end());
-      const bool verdict = evaluator->Eval(env);
-      if (governor != nullptr && governor->Interrupted()) {
+      const bool verdict = evaluator.Eval(env);
+      if (GovernorInterrupted(governor)) {
         run.interrupted = true;
         break;
       }
       run.verdicts.push_back(verdict);
     }
+    evaluator.set_governor(nullptr);
     run.exec_ms = MsSince(exec_start);
     if (run.interrupted) MarkPartial(response, governor->status());
     return run;
@@ -1509,10 +1484,9 @@ Message Server::HandleGetModel(RequestContext& ctx) {
   Message response = MakeOk();
   response.Set("model-id", std::to_string(model_id));
   response.Set("model", entry->text);
-  // Evaluation telemetry accumulated by evaluate/query on this handle,
-  // which always run on the server's engine; lower-ms and the vm-* fields
-  // stay 0 unless the handle has run through the bytecode VM.
-  response.Set("engine", EvalEngineName(options_.eval_engine));
+  // Evaluation telemetry accumulated by evaluate/query on this handle; the
+  // fields stay 0 until the handle has been evaluated.
+  response.Set("engine", EvalEngineName(EvalEngine::kVm));
   response.Set("evals", std::to_string(entry->evals));
   response.Set("exec-ms", FormatDouble(entry->exec_ms));
   response.Set("lower-ms", FormatDouble(entry->lower_ms));
@@ -1610,7 +1584,6 @@ ServerStats Server::Snapshot() const {
   stats.mem_peak_bytes = mem_budget_.peak();
   stats.rss_bytes = ReadRssBytes();
   stats.durable = store_.enabled() ? 1 : 0;
-  stats.eval_engine = static_cast<int64_t>(options_.eval_engine);
   stats.mem_budget_bytes = options_.mem_budget_bytes;
   return stats;
 }

@@ -31,11 +31,11 @@ namespace folearn {
 //
 //   * the session's TypeRegistry (canonical TypeIds across learns),
 //   * a byte-budgeted BallCache bound to the session graph,
-//   * per-session warm evaluators (per-graph memo tables, bytecode VM or
-//     compiled tree per ServerOptions::eval_engine),
-//   * a process-wide PlanCache of compiled plans and lowered bytecode
-//     (shared across sessions — both are graph-independent; entries are
-//     keyed by engine + options so tree and VM plans never collide), and
+//   * per-session warm bytecode VMs (per-graph memo tables), which serve
+//     governed and ungoverned requests alike — a request's governor is
+//     attached per call,
+//   * a process-wide PlanCache of compiled plans and their lowered
+//     bytecode (shared across sessions — both are graph-independent), and
 //   * registered *model handles*: every learn registers its hypothesis
 //     under a session-scoped model-id, so evaluate/query can reference
 //     the already-parsed model instead of shipping its text every time.
@@ -117,11 +117,6 @@ struct ServerOptions {
   int64_t ball_cache_bytes = 32 << 20;
   // Byte budget of the shared compiled-plan cache.
   int64_t plan_cache_bytes = 8 << 20;
-  // Evaluation engine for evaluate/query requests (learn goes through the
-  // type-majority path and never touches it). Every engine produces
-  // identical verdicts; kVm is the fast default, kCompiled the tree
-  // engine, kInterpreted the reference oracle.
-  EvalEngine eval_engine = EvalEngine::kVm;
   // Bound of the per-session learn dedup window (journaled with it).
   int dedup_window = 64;
   // listen(2) backlog.
@@ -196,7 +191,8 @@ struct ServerStats {
   int64_t plan_bytes = 0;          // gauge: PlanCache bytes at snapshot
   // Configuration echoed by the stats op.
   int64_t durable = 0;             // 1 when sessions are journaled
-  int64_t eval_engine = 0;         // EvalEngine of evaluate/query
+  // EvalEngine of evaluate/query: always the bytecode VM.
+  int64_t eval_engine = static_cast<int64_t>(EvalEngine::kVm);
   int64_t mem_budget_bytes = 0;    // ServerOptions::mem_budget_bytes
 };
 

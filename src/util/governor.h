@@ -19,17 +19,24 @@ namespace folearn {
 // reduction drives n² oracle calls per quantifier, MSO evaluation
 // enumerates 2^n subsets. A `ResourceGovernor` turns "run to completion or
 // abort" into *anytime* semantics: loops cooperatively call `Checkpoint()`
-// (one call per natural work unit — typically one local-type computation
-// or one quantifier branch) and stop early when a wall-clock deadline, a
-// work budget, or an external cancellation flag trips. Interrupted
-// learners return the best hypothesis found so far together with a
-// `RunStatus` describing why they stopped.
+// (one call per natural work unit — typically one local-type computation,
+// one candidate, or one evaluated tuple) and stop early when a wall-clock
+// deadline, a work budget, or an external cancellation flag trips.
+// Interrupted learners return the best hypothesis found so far together
+// with a `RunStatus` describing why they stopped.
+//
+// Formula evaluation charges one unit per tuple: each engine
+// (mc/evaluator.h) calls Checkpoint() once when it starts evaluating a
+// tuple (one Eval call, one sentence, one example) and `Poll()` — which
+// charges nothing — at its loop back-edges, so a deadline, a cancellation
+// or the memory budget still cuts a long evaluation short.
 //
 // Determinism: the work-unit counter is independent of timing, so equal
 // inputs with an equal `max_work` budget (or an equal `FaultInjector`
 // trip point) interrupt at exactly the same point and produce identical
-// results. Only `deadline_ms` is timing-dependent; tests use the injector
-// instead.
+// results — for any engine and thread count, since only Checkpoint calls
+// move either. Only `deadline_ms` is timing-dependent; tests use the
+// injector instead.
 
 // Why a governed run ended.
 enum class RunStatus {
@@ -159,28 +166,27 @@ class ResourceGovernor {
       status_ = RunStatus::kBudgetExhausted;
       return false;
     }
-    if (cancel_ != nullptr && cancel_->load(std::memory_order_relaxed)) {
-      status_ = RunStatus::kCancelled;
-      return false;
-    }
-    if ((limits_.deadline_ms != kNoLimit || limits_.mem_budget != nullptr) &&
-        checkpoints_ >= next_clock_probe_) {
+    if (!PollCancel()) return false;
+    if (checkpoints_ >= next_clock_probe_) {
       next_clock_probe_ = checkpoints_ + kClockProbeStride;
-      if (limits_.deadline_ms != kNoLimit) {
-        auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
-                           Clock::now() - start_)
-                           .count();
-        if (elapsed >= limits_.deadline_ms) {
-          status_ = RunStatus::kDeadlineExceeded;
-          return false;
-        }
-      }
-      if (limits_.mem_budget != nullptr && limits_.mem_budget->OverLimit()) {
-        status_ = RunStatus::kResourceExhausted;
-        return false;
-      }
+      return ProbeTimedLimits();
     }
     return true;
+  }
+
+  // The in-unit poll: every kClockProbeStride calls it checks cancellation,
+  // the deadline and the memory budget, latching a trip exactly like
+  // Checkpoint — but it charges no work, counts no checkpoint, and never
+  // advances the fault injector. In between it only reports a latched
+  // trip. Evaluation engines poll at their loop back-edges, so a long unit
+  // stays interruptible by the timing-dependent limits while the
+  // deterministic cut points (max_work, FaultInjector) depend on
+  // Checkpoint calls alone.
+  bool Poll() {
+    if (++polls_ < kClockProbeStride) return status_ == RunStatus::kComplete;
+    polls_ = 0;
+    return status_ == RunStatus::kComplete && PollCancel() &&
+           ProbeTimedLimits();
   }
 
   // How many further unit Checkpoint() calls are guaranteed to pass
@@ -230,25 +236,8 @@ class ResourceGovernor {
     }
     checkpoints_ += count;
     work_ += count;
-    if (cancel_ != nullptr && cancel_->load(std::memory_order_relaxed)) {
-      status_ = RunStatus::kCancelled;
-      return count - 1;
-    }
-    if (limits_.deadline_ms != kNoLimit) {
-      next_clock_probe_ = checkpoints_ + kClockProbeStride;
-      auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
-                         Clock::now() - start_)
-                         .count();
-      if (elapsed >= limits_.deadline_ms) {
-        status_ = RunStatus::kDeadlineExceeded;
-        return count - 1;
-      }
-    }
-    if (limits_.mem_budget != nullptr && limits_.mem_budget->OverLimit()) {
-      status_ = RunStatus::kResourceExhausted;
-      return count - 1;
-    }
-    return count;
+    next_clock_probe_ = checkpoints_ + kClockProbeStride;
+    return PollCancel() && ProbeTimedLimits() ? count : count - 1;
   }
 
   // Read-only poll of the timing-dependent limits (deadline elapsed,
@@ -300,6 +289,32 @@ class ResourceGovernor {
   using Clock = std::chrono::steady_clock;
   static constexpr int64_t kClockProbeStride = 256;
 
+  // Latches kCancelled once the cancellation flag is set.
+  bool PollCancel() {
+    if (cancel_ == nullptr || !cancel_->load(std::memory_order_relaxed)) {
+      return true;
+    }
+    status_ = RunStatus::kCancelled;
+    return false;
+  }
+
+  // Reads the clock and the memory budget, latching kDeadlineExceeded or
+  // kResourceExhausted.
+  bool ProbeTimedLimits() {
+    if (limits_.deadline_ms != kNoLimit &&
+        std::chrono::duration_cast<std::chrono::milliseconds>(Clock::now() -
+                                                              start_)
+                .count() >= limits_.deadline_ms) {
+      status_ = RunStatus::kDeadlineExceeded;
+      return false;
+    }
+    if (limits_.mem_budget != nullptr && limits_.mem_budget->OverLimit()) {
+      status_ = RunStatus::kResourceExhausted;
+      return false;
+    }
+    return true;
+  }
+
   GovernorLimits limits_;
   const std::atomic<bool>* cancel_;
   const FaultInjector* injector_;
@@ -307,6 +322,7 @@ class ResourceGovernor {
   int64_t work_ = 0;
   int64_t checkpoints_ = 0;
   int64_t next_clock_probe_ = 0;  // probe at the very first checkpoint
+  int64_t polls_ = 0;             // Poll calls since the last clock probe
   RunStatus status_ = RunStatus::kComplete;
 };
 
@@ -316,6 +332,10 @@ class ResourceGovernor {
 inline bool GovernorCheckpoint(ResourceGovernor* governor,
                                int64_t units = 1) {
   return governor == nullptr || governor->Checkpoint(units);
+}
+
+inline bool GovernorPoll(ResourceGovernor* governor) {
+  return governor == nullptr || governor->Poll();
 }
 
 inline RunStatus GovernorStatus(const ResourceGovernor* governor) {

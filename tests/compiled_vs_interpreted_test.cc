@@ -1,44 +1,40 @@
-// Differential testing of the plan-based evaluation engines — the
-// compiled tree walker (mc/compiler.h, mc/compiled_eval.h) and the
-// register bytecode VM (mc/bytecode.h, mc/vm.h) — against the recursive
-// interpreter they replace on the hot paths. The contract under test: for
-// every formula, graph, and tuple, all three engines return identical
-// verdicts, identical EvalStats work counts, and — under a governor —
-// identical cut points (status, work_used, checkpoints_passed), including
-// trips injected at every single checkpoint of a run. The ERM grid must
-// likewise be bit-for-bit reproducible across eval engines and thread
-// counts.
+// Differential testing of the bytecode VM (mc/compiler.h, mc/bytecode.h,
+// mc/vm.h) against the recursive interpreter it replaces on the hot paths.
+// The contract under test: for every formula — FO, FO+C and MSO — graph,
+// and tuple, both engines return identical verdicts, with or without a
+// stats sink or an (unlimited) governor attached; and under a governor
+// both charge one work unit per evaluated tuple, so max-work budgets and
+// injected trips cut at identical points (status, work_used,
+// checkpoints_passed, verdicts decided). The ERM grid must likewise be
+// bit-for-bit reproducible across eval engines and thread counts.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "fo/enumerate.h"
+#include "fo/mso.h"
 #include "fo/parser.h"
 #include "fo/printer.h"
+#include "graph/algorithms.h"
 #include "graph/generators.h"
 #include "learn/dataset.h"
 #include "learn/erm.h"
 #include "learn/model_io.h"
 #include "mc/bytecode.h"
-#include "mc/compiled_eval.h"
 #include "mc/compiler.h"
 #include "mc/evaluator.h"
 #include "mc/vm.h"
 #include "test_helpers.h"
 #include "util/governor.h"
+#include "util/mem_budget.h"
 #include "util/rng.h"
 
 namespace folearn {
 namespace {
-
-EvalOptions Interpreted() {
-  EvalOptions options;
-  options.force_interpreter = true;
-  return options;
-}
 
 EvalOptions WithEngine(EvalEngine engine) {
   EvalOptions options;
@@ -46,43 +42,46 @@ EvalOptions WithEngine(EvalEngine engine) {
   return options;
 }
 
-// The two plan-based engines, each differentialled against the
-// interpreter below.
-constexpr EvalEngine kPlanEngines[] = {EvalEngine::kCompiled,
-                                       EvalEngine::kVm};
+EvalOptions Interpreted() { return WithEngine(EvalEngine::kInterpreted); }
 
-// Runs one query through all three engines and checks verdict + work
-// counts. Each plan engine is exercised twice: once with a stats sink
-// (the counting lane, which must mirror the interpreter's loop structure
-// exactly) and once bare (the fast lane with guard specialisation,
-// subformula memoization, and — for the VM — superinstructions, which
-// must still agree on the verdict).
+constexpr EvalEngine kEngines[] = {EvalEngine::kInterpreted,
+                                   EvalEngine::kVm};
+
+// Runs one query through both engines and checks the verdicts. The VM is
+// exercised bare, with a stats sink, and under an unlimited governor (the
+// instrumented dispatch loop with its back-edge polls); all must agree
+// with the interpreter.
 void ExpectQueryParity(const Graph& graph, const FormulaRef& formula,
                        const std::vector<std::string>& vars,
                        const std::vector<Vertex>& tuple,
-                       const std::string& label) {
+                       const std::string& label,
+                       EvalOptions base = EvalOptions{}) {
+  EvalOptions interpreted_options = base;
+  interpreted_options.engine = EvalEngine::kInterpreted;
   EvalStats interpreted_stats;
-  bool interpreted = EvaluateQuery(graph, formula, vars, tuple, Interpreted(),
-                                   &interpreted_stats);
-  // The interpreted path never touches the plan-path timers.
+  bool interpreted = EvaluateQuery(graph, formula, vars, tuple,
+                                   interpreted_options, &interpreted_stats);
+  // The interpreted path never touches the VM timers.
   EXPECT_EQ(interpreted_stats.compile_ms, 0.0) << label;
-  EXPECT_EQ(interpreted_stats.eval_ms, 0.0) << label;
-  for (EvalEngine engine : kPlanEngines) {
-    const std::string tag =
-        label + " [" + EvalEngineName(engine) + "]";
-    EvalStats stats;
-    bool verdict =
-        EvaluateQuery(graph, formula, vars, tuple, WithEngine(engine), &stats);
-    EXPECT_EQ(verdict, interpreted) << tag;
-    EXPECT_EQ(stats.atom_evaluations, interpreted_stats.atom_evaluations)
-        << tag;
-    EXPECT_EQ(stats.quantifier_branches,
-              interpreted_stats.quantifier_branches)
-        << tag;
-    bool fast_lane =
-        EvaluateQuery(graph, formula, vars, tuple, WithEngine(engine));
-    EXPECT_EQ(fast_lane, interpreted) << tag << " (fast lane)";
-  }
+  EXPECT_EQ(interpreted_stats.exec_ms, 0.0) << label;
+  EvalOptions vm_options = base;
+  vm_options.engine = EvalEngine::kVm;
+  EXPECT_EQ(EvaluateQuery(graph, formula, vars, tuple, vm_options),
+            interpreted)
+      << label << " [vm]";
+  EvalStats stats;
+  EXPECT_EQ(EvaluateQuery(graph, formula, vars, tuple, vm_options, &stats),
+            interpreted)
+      << label << " [vm, stats]";
+  // A VM sink tallies dispatches only.
+  EXPECT_EQ(stats.atom_evaluations, 0) << label;
+  EXPECT_EQ(stats.quantifier_branches, 0) << label;
+  ResourceGovernor governor;
+  vm_options.governor = &governor;
+  EXPECT_EQ(EvaluateQuery(graph, formula, vars, tuple, vm_options),
+            interpreted)
+      << label << " [vm, governed]";
+  EXPECT_EQ(governor.work_used(), 1) << label;
 }
 
 TEST(CompiledVsInterpreted, RandomFormulasAcrossFamilies) {
@@ -128,26 +127,16 @@ TEST(CompiledVsInterpreted, EnumeratedSliceOnAllTuplesAgrees) {
   const std::vector<std::string> vars = {"x1"};
   std::vector<std::vector<Vertex>> tuples = AllTuples(graph.order(), 1);
   for (const FormulaRef& formula : formulas) {
-    EvalStats interpreted_stats;
-    std::vector<bool> interpreted = EvaluateOnTuples(
-        graph, formula, vars, tuples, Interpreted(), &interpreted_stats);
-    for (EvalEngine engine : kPlanEngines) {
-      const std::string tag =
-          ToString(formula) + " [" + EvalEngineName(engine) + "]";
-      EvalStats stats;
-      std::vector<bool> verdicts = EvaluateOnTuples(
-          graph, formula, vars, tuples, WithEngine(engine), &stats);
-      EXPECT_EQ(verdicts, interpreted) << tag;
-      EXPECT_EQ(stats.atom_evaluations, interpreted_stats.atom_evaluations)
-          << tag;
-      EXPECT_EQ(stats.quantifier_branches,
-                interpreted_stats.quantifier_branches)
-          << tag;
-    }
+    std::vector<bool> interpreted =
+        EvaluateOnTuples(graph, formula, vars, tuples, Interpreted());
+    EXPECT_EQ(EvaluateOnTuples(graph, formula, vars, tuples,
+                               WithEngine(EvalEngine::kVm)),
+              interpreted)
+        << ToString(formula);
   }
   // Batched and tuple-at-a-time evaluation agree too, for both engines.
   const FormulaRef spot = formulas[formulas.size() / 2];
-  for (EvalEngine engine : kPlanEngines) {
+  for (EvalEngine engine : kEngines) {
     std::vector<bool> batched =
         EvaluateOnTuples(graph, spot, vars, tuples, WithEngine(engine));
     for (size_t i = 0; i < tuples.size(); ++i) {
@@ -214,13 +203,14 @@ TEST(CompiledVsInterpreted, ClosedSubformulasMemoiseOncePerGraph) {
   Graph graph = MakePath(10);
   AddRandomColors(graph, {"Red"}, 0.5, rng);
   // "exists z. Red(z)" is sentence-valued under the outer quantifier: the
-  // plan must give it a memo slot and the fast lane must compute it once.
+  // plan must give it a memo slot and the VM must compute it once.
   FormulaRef formula =
       MustParseFormula("forall y. (Red(y) | exists z. Red(z))");
   const std::vector<std::string> vars = {"x"};
   CompiledFormula plan = CompileFormula(formula, vars);
   EXPECT_GT(plan.num_memo_slots(), 0);
-  CompiledEvaluator evaluator(plan, graph);
+  LoweredPlan lowered = LowerPlan(plan);
+  VmEvaluator evaluator(plan, lowered, graph);
   for (Vertex v = 0; v < graph.order(); ++v) {
     const std::vector<Vertex> tuple = {v};
     bool interpreted =
@@ -229,92 +219,193 @@ TEST(CompiledVsInterpreted, ClosedSubformulasMemoiseOncePerGraph) {
   }
 }
 
-TEST(CompiledVsInterpreted, CountingAndMsoQuantifiersAgree) {
+TEST(CompiledVsInterpreted, CountingQuantifiersAgree) {
   Rng rng(13);
   Graph graph = MakeCycle(6);
   AddRandomColors(graph, {"Red"}, 0.5, rng);
   const std::vector<std::string> vars = {"x"};
-  // Counting quantifiers (threshold reachable and unreachable — the
-  // unreachable case exercises the early-abort branch-count parity).
+  // Threshold reachable and unreachable (the latter exercises the early
+  // abort).
   for (const char* text : {"exists>=2 y. E(x, y)", "exists>=3 y. E(x, y)",
-                           "exists>=7 y. Red(y)"}) {
+                           "exists>=7 y. Red(y)",
+                           "exists>=2 y. exists z. (E(y, z) & Red(z))"}) {
     FormulaRef formula = MustParseFormula(text);
     for (Vertex v = 0; v < graph.order(); ++v) {
       ExpectQueryParity(graph, formula, vars, {v},
                         std::string(text) + " @" + std::to_string(v));
     }
   }
-  // MSO set quantifiers enumerate all 2^n masks in the same order.
-  FormulaRef mso = Formula::ExistsSet(
-      "S", Formula::And(Formula::SetMember("x", "S"),
-                        Formula::Exists("y", Formula::And(
-                                                 Formula::Edge("x", "y"),
-                                                 Formula::Not(Formula::SetMember(
-                                                     "y", "S"))))));
-  FormulaRef mso_forall = Formula::ForallSet(
-      "S", Formula::Or(Formula::SetMember("x", "S"),
-                       Formula::Not(Formula::SetMember("x", "S"))));
-  for (const FormulaRef& formula : {mso, mso_forall}) {
+}
+
+// Every MSO formula of mso_test plus hand-built ones runs through the VM's
+// set-loop opcodes (no fallback engine exists) and agrees with the
+// interpreter.
+TEST(CompiledVsInterpreted, MsoFormulasLowerAndAgree) {
+  Rng rng(13);
+  Graph cycle = MakeCycle(6);
+  AddRandomColors(cycle, {"Red"}, 0.5, rng);
+  const std::vector<std::string> vars = {"x"};
+  const FormulaRef open_formulas[] = {
+      Formula::ExistsSet(
+          "S", Formula::And(
+                   Formula::SetMember("x", "S"),
+                   Formula::Exists("y", Formula::And(
+                                            Formula::Edge("x", "y"),
+                                            Formula::Not(Formula::SetMember(
+                                                "y", "S")))))),
+      Formula::ForallSet("S",
+                         Formula::Or(Formula::SetMember("x", "S"),
+                                     Formula::Not(Formula::SetMember(
+                                         "x", "S")))),
+      MustParseFormula("existsset X. x in X"),
+      MustParseFormula(
+          "existsset X. (x in X & forallset Y. (x in Y | exists y. (y in X "
+          "& !(y in Y) & Red(y))))"),
+  };
+  for (const FormulaRef& formula : open_formulas) {
+    const LoweredPlan lowered = LowerPlan(CompileFormula(formula, vars));
+    bool has_set_loop = false;
+    for (const VmInst& inst : lowered.code) {
+      has_set_loop |= inst.op == VmOp::kSetBegin;
+    }
+    EXPECT_TRUE(has_set_loop) << ToString(formula);
+    for (Vertex v = 0; v < cycle.order(); ++v) {
+      ExpectQueryParity(cycle, formula, vars, {v},
+                        ToString(formula) + " @" + std::to_string(v));
+    }
+  }
+  const FormulaRef sentences[] = {
+      MsoConnectivitySentence(),
+      MsoBipartiteSentence(),
+      MsoIndependentDominatingSetSentence(),
+      MustParseFormula(
+          "forallset X. (exists x. x in X) -> forall y. y in X"),
+      MustParseFormula(
+          "existsset X. forall u. forall v. !E(u, v) | !(u in X)"),
+  };
+  Graph with_isolated = MakePath(4);
+  with_isolated.AddVertex();
+  const Graph graphs[] = {MakePath(6),
+                          MakeCycle(5),
+                          MakeCycle(6),
+                          MakeStar(5),
+                          MakeComplete(4),
+                          MakeCompleteBipartite(3, 3),
+                          DisjointUnion(MakePath(3), MakePath(3)),
+                          with_isolated};
+  for (const FormulaRef& sentence : sentences) {
+    for (const Graph& graph : graphs) {
+      ExpectQueryParity(graph, sentence, {}, {},
+                        ToString(sentence) + " on order " +
+                            std::to_string(graph.order()));
+    }
+  }
+  Graph two_paths = DisjointUnion(MakePath(4), MakePath(4));
+  FormulaRef same = MsoSameComponentFormula("x1", "x2");
+  const std::vector<std::string> pair_vars = {"x1", "x2"};
+  for (Vertex a = 0; a < two_paths.order(); ++a) {
+    for (Vertex b = 0; b < two_paths.order(); ++b) {
+      ExpectQueryParity(two_paths, same, pair_vars, {a, b},
+                        "same-component " + std::to_string(a) + "," +
+                            std::to_string(b));
+    }
+  }
+  // The learned-style MSO classifier of mso_test, scored by both engines.
+  Graph star_and_path = DisjointUnion(MakeStar(4), MakePath(5));
+  Hypothesis h;
+  h.formula = MsoSameComponentFormula("x1", "y1");
+  h.query_vars = QueryVars(1);
+  h.param_vars = ParamVars(1);
+  h.parameters = {0};
+  TrainingSet examples;
+  for (Vertex v = 0; v < star_and_path.order(); ++v) {
+    examples.push_back({{v}, v <= 4});
+  }
+  for (EvalEngine engine : kEngines) {
+    EXPECT_EQ(TrainingError(star_and_path, h, examples, WithEngine(engine)),
+              0.0)
+        << EvalEngineName(engine);
+  }
+}
+
+// A colour guard naming a colour the graph lacks: under
+// missing_color_is_false the VM scans an empty domain and agrees with the
+// interpreter, which evaluates the guard atom to false.
+TEST(CompiledVsInterpreted, MissingGuardColourIsEmptyWhenLenient) {
+  Rng rng(29);
+  Graph graph = MakeErdosRenyi(9, 0.3, rng);
+  AddRandomColors(graph, {"Red"}, 0.5, rng);
+  const std::vector<std::string> vars = {"x"};
+  EvalOptions lenient;
+  lenient.missing_color_is_false = true;
+  for (const char* text : {
+           "exists y. (Ghost(y) & Red(y))",                  // cscan_atoms
+           "forall y. (!Ghost(y) | Red(y))",                 // cscan_atoms
+           "exists y. (Ghost(y) & exists z. (E(y, z) & Red(z)))",  // loop
+           "forall y. (!Ghost(y) | exists z. E(y, z))",      // loop
+           "Red(x) | exists y. (Ghost(y) & E(x, y))",        // edge guard
+           "exists y. ((exists z. (E(y, z) & !E(y, z))) & Ghost(y))",
+       }) {
+    FormulaRef formula = MustParseFormula(text);
+    EXPECT_GT(CompileFormula(formula, vars).guarded_nodes(), 0) << text;
     for (Vertex v = 0; v < graph.order(); ++v) {
       ExpectQueryParity(graph, formula, vars, {v},
-                        ToString(formula) + " @" + std::to_string(v));
+                        std::string(text) + " @" + std::to_string(v),
+                        lenient);
     }
   }
 }
 
-// Sweeps a fault injector over EVERY checkpoint of a run: at each trip
-// point every plan engine must latch the same status as the interpreter
-// after the same number of checkpoints and work units — a governed plan
-// path may not reorder, batch, or skip a single checkpoint the
-// interpreter performs.
+// Sweeps every trip point of a governed batch: a FaultInjector trip at
+// each checkpoint, and every max-work budget, over one tuple per vertex.
+// Both engines charge one unit per tuple, so status, work_used,
+// checkpoints_passed and the verdicts decided before the trip are
+// identical — and the decided verdicts are a prefix of the complete run.
 void ExpectCutPointParity(const Graph& graph, const FormulaRef& formula,
-                          const std::vector<std::string>& vars,
-                          const std::vector<Vertex>& tuple) {
-  ResourceGovernor baseline;
-  EvalOptions interpreted_options = Interpreted();
-  interpreted_options.governor = &baseline;
-  bool complete_verdict =
-      EvaluateQuery(graph, formula, vars, tuple, interpreted_options);
-  const int64_t total = baseline.checkpoints_passed();
-  for (int64_t trip = 1; trip <= total + 1; ++trip) {
-    FaultInjector interpreted_injector(trip);
-    ResourceGovernor interpreted_governor(GovernorLimits{}, nullptr,
-                                          &interpreted_injector);
-    EvalOptions iopts = Interpreted();
-    iopts.governor = &interpreted_governor;
-    EvalStats istats;
-    bool iverdict = EvaluateQuery(graph, formula, vars, tuple, iopts, &istats);
-    if (!interpreted_governor.Interrupted()) {
-      // Past the last checkpoint the run completes and the verdict binds.
-      EXPECT_EQ(iverdict, complete_verdict)
-          << ToString(formula) << " trip=" << trip;
-    }
-
-    for (EvalEngine engine : kPlanEngines) {
-      FaultInjector injector(trip);
-      ResourceGovernor governor(GovernorLimits{}, nullptr, &injector);
-      EvalOptions copts = WithEngine(engine);
-      copts.governor = &governor;
-      EvalStats cstats;
-      bool cverdict =
-          EvaluateQuery(graph, formula, vars, tuple, copts, &cstats);
-
-      const std::string label =
-          ToString(formula) + " trip=" + std::to_string(trip) + "/" +
-          std::to_string(total) + " [" + EvalEngineName(engine) + "]";
-      EXPECT_EQ(cstats.status, istats.status) << label;
-      EXPECT_EQ(governor.status(), interpreted_governor.status()) << label;
-      EXPECT_EQ(governor.work_used(), interpreted_governor.work_used())
-          << label;
-      EXPECT_EQ(governor.checkpoints_passed(),
-                interpreted_governor.checkpoints_passed())
-          << label;
-      EXPECT_EQ(cstats.quantifier_branches, istats.quantifier_branches)
-          << label;
-      EXPECT_EQ(cstats.atom_evaluations, istats.atom_evaluations) << label;
-      if (!interpreted_governor.Interrupted()) {
-        EXPECT_EQ(cverdict, complete_verdict) << label;
+                          const std::vector<std::string>& vars) {
+  std::vector<std::vector<Vertex>> tuples;
+  for (Vertex v = 0; v < graph.order(); ++v) {
+    tuples.push_back(std::vector<Vertex>(vars.size(), v));
+  }
+  const std::vector<bool> complete =
+      EvaluateOnTuples(graph, formula, vars, tuples, Interpreted());
+  const int64_t total = static_cast<int64_t>(tuples.size());
+  for (int64_t cut = 1; cut <= total + 1; ++cut) {
+    for (bool budget : {false, true}) {
+      FaultInjector injector(cut);
+      std::vector<ResourceGovernor> governors;
+      governors.reserve(2);
+      std::vector<std::vector<bool>> verdicts;
+      for (EvalEngine engine : kEngines) {
+        if (budget) {
+          governors.emplace_back(GovernorLimits{kNoLimit, cut});
+        } else {
+          governors.emplace_back(GovernorLimits{}, nullptr, &injector);
+        }
+        EvalOptions options = WithEngine(engine);
+        options.governor = &governors.back();
+        EvalStats stats;
+        verdicts.push_back(
+            EvaluateOnTuples(graph, formula, vars, tuples, options, &stats));
+        EXPECT_EQ(stats.status, governors.back().status());
       }
+      const std::string label = ToString(formula) +
+                                (budget ? " max-work=" : " trip=") +
+                                std::to_string(cut);
+      const ResourceGovernor& interpreted = governors[0];
+      const ResourceGovernor& vm = governors[1];
+      EXPECT_EQ(vm.status(), interpreted.status()) << label;
+      EXPECT_EQ(vm.work_used(), interpreted.work_used()) << label;
+      EXPECT_EQ(vm.checkpoints_passed(), interpreted.checkpoints_passed())
+          << label;
+      EXPECT_EQ(verdicts[1], verdicts[0]) << label;
+      const int64_t decided =
+          budget ? std::min(cut, total) : std::min(cut - 1, total);
+      ASSERT_EQ(static_cast<int64_t>(verdicts[0].size()), decided) << label;
+      EXPECT_TRUE(std::equal(verdicts[0].begin(), verdicts[0].end(),
+                             complete.begin()))
+          << label;
+      EXPECT_EQ(interpreted.Interrupted(), decided < total) << label;
     }
   }
 }
@@ -326,49 +417,112 @@ TEST(CompiledVsInterpreted, GovernorCutPointsMatchAtEveryCheckpoint) {
   const std::vector<std::string> vars = {"x"};
   for (const char* text : {
            "forall y. exists z. E(y, z)",
-           "exists y. (E(x, y) & Red(y))",     // guarded counting lane
-           "forall y. (!E(x, y) | Red(y))",    // guarded counting lane
-           "exists y. exists z. (Red(y) & E(y, z))",  // fused block
+           "exists y. (E(x, y) & Red(y))",
+           "forall y. (!E(x, y) | Red(y))",
+           "exists y. exists z. (Red(y) & E(y, z))",
            "exists>=2 y. E(x, y)",
        }) {
-    ExpectCutPointParity(graph, MustParseFormula(text), vars, {0});
+    ExpectCutPointParity(graph, MustParseFormula(text), vars);
   }
-  // MSO cut points: one checkpoint per subset mask.
-  Graph small = MakeCycle(4);
   ExpectCutPointParity(
-      small,
+      MakeCycle(4),
       Formula::ExistsSet("S", Formula::Forall(
-                                  "y", Formula::SetMember("y", "S"))),
-      vars, {0});
+                                  "y", Formula::Or(
+                                           Formula::SetMember("y", "S"),
+                                           Formula::Edge("x", "y")))),
+      vars);
 }
 
+// One sentence is one work unit on either engine: a budget of 1 lets any
+// sentence finish, and the same budget cuts a batch after one tuple.
 TEST(CompiledVsInterpreted, WorkBudgetsTripIdentically) {
   Rng rng(17);
   Graph graph = MakeErdosRenyi(9, 0.3, rng);
-  FormulaRef formula = MustParseFormula("forall y. exists z. E(y, z)");
-  for (int64_t budget : {int64_t{1}, int64_t{3}, int64_t{10}, int64_t{64}}) {
-    ResourceGovernor interpreted_governor(
-        GovernorLimits{kNoLimit, budget});
-    EvalOptions iopts = Interpreted();
-    iopts.governor = &interpreted_governor;
-    EvaluateSentence(graph, formula, iopts);
-    for (EvalEngine engine : kPlanEngines) {
+  FormulaRef sentence = MustParseFormula("forall y. exists z. E(y, z)");
+  const bool truth = EvaluateSentence(graph, sentence, Interpreted());
+  TrainingSet examples = LabelByQuery(
+      graph, MustParseFormula("exists z. E(x1, z)"), QueryVars(1),
+      AllTuples(graph.order(), 1));
+  Hypothesis hypothesis;
+  hypothesis.query_vars = QueryVars(1);
+  hypothesis.formula = MustParseFormula("exists z. (E(x1, z) & z = z)");
+  for (EvalEngine engine : kEngines) {
+    const std::string label = EvalEngineName(engine);
+    ResourceGovernor one(GovernorLimits{kNoLimit, 1});
+    EvalOptions options = WithEngine(engine);
+    options.governor = &one;
+    EXPECT_EQ(EvaluateSentence(graph, sentence, options), truth) << label;
+    EXPECT_EQ(one.status(), RunStatus::kComplete) << label;
+    EXPECT_EQ(one.work_used(), 1) << label;
+    for (int64_t budget : {int64_t{1}, int64_t{3}, int64_t{9}}) {
       ResourceGovernor governor(GovernorLimits{kNoLimit, budget});
-      EvalOptions copts = WithEngine(engine);
-      copts.governor = &governor;
-      EvaluateSentence(graph, formula, copts);
-      const std::string label = "budget=" + std::to_string(budget) + " [" +
-                                EvalEngineName(engine) + "]";
-      EXPECT_EQ(governor.status(), interpreted_governor.status()) << label;
-      EXPECT_EQ(governor.work_used(), interpreted_governor.work_used())
-          << label;
+      options.governor = &governor;
+      TrainingError(graph, hypothesis, examples, options);
+      EXPECT_EQ(governor.status(), budget < graph.order()
+                                       ? RunStatus::kBudgetExhausted
+                                       : RunStatus::kComplete)
+          << label << " budget=" << budget;
+      EXPECT_EQ(governor.work_used(), std::min<int64_t>(budget + 1,
+                                                         graph.order()))
+          << label << " budget=" << budget;
     }
   }
 }
 
-// The E9 grid: training error, formulas tried, run status, and serialised
-// model bytes must be identical across {interpreted, compiled, vm} ×
-// {1, 2, 8} threads, with and without an injected governor trip mid-grid.
+// A deadline, cancellation or memory trip inside one tuple's evaluation
+// (a back-edge poll) unwinds without writing a memo: the same warm VM
+// answers later calls exactly like the interpreter. The memory budget is
+// pushed over its limit after the governor's first clock probe, so the
+// trip lands deterministically at the 256th poll of the next tuple.
+TEST(CompiledVsInterpreted, PollTripMidTupleLeavesMemoIntact) {
+  Rng rng(61);
+  Graph graph = MakePath(20);
+  AddRandomColors(graph, {"Red"}, 0.3, rng);
+  // The closed disjunct is true on any graph without isolated vertices
+  // and takes 20 × 20 fused loop iterations, far past 256 polls.
+  FormulaRef formula = MustParseFormula(
+      "Red(x) | forall u. forall v. exists w. (E(u, w) | u = v | E(v, w))");
+  const std::vector<std::string> vars = {"x"};
+  CompiledFormula plan = CompileFormula(formula, vars);
+  ASSERT_GT(plan.num_memo_slots(), 0);
+  LoweredPlan lowered = LowerPlan(plan);
+  VmEvaluator evaluator(plan, lowered, graph);
+  Vertex blue = 0;
+  while (graph.HasColor(blue, *graph.FindColor("Red"))) ++blue;
+  for (EvalEngine engine : kEngines) {
+    MemBudget budget(1000);
+    GovernorLimits limits;
+    limits.mem_budget = &budget;
+    ResourceGovernor governor(limits);
+    ASSERT_TRUE(governor.Checkpoint());  // the first clock/memory probe
+    budget.Charge(2000);
+    const std::vector<Vertex> tuple = {blue};
+    if (engine == EvalEngine::kVm) {
+      evaluator.set_governor(&governor);
+      evaluator.Eval(tuple);
+      evaluator.set_governor(nullptr);
+    } else {
+      EvalOptions options = Interpreted();
+      options.governor = &governor;
+      EvaluateQuery(graph, formula, vars, tuple, options);
+    }
+    const std::string label = EvalEngineName(engine);
+    EXPECT_EQ(governor.status(), RunStatus::kResourceExhausted) << label;
+    EXPECT_EQ(governor.work_used(), 2) << label;  // polls charge nothing
+    budget.Release(2000);
+  }
+  for (Vertex v = 0; v < graph.order(); ++v) {
+    const std::vector<Vertex> tuple = {v};
+    EXPECT_TRUE(evaluator.Eval(tuple)) << v;
+    EXPECT_TRUE(EvaluateQuery(graph, formula, vars, tuple, Interpreted()))
+        << v;
+  }
+}
+
+// The E9 grid: training error, formulas tried, run status, governor
+// ledger, and serialised model bytes must be identical across
+// {interpreted, vm} × {1, 2, 8} threads, with and without an injected
+// trip or a max-work budget mid-grid.
 TEST(CompiledVsInterpreted, EnumerationErmGridIsModeAndThreadInvariant) {
   Rng rng(321);
   Graph graph = MakeRandomTree(12, rng);
@@ -385,36 +539,43 @@ TEST(CompiledVsInterpreted, EnumerationErmGridIsModeAndThreadInvariant) {
   enumeration.max_boolean_depth = 1;
   enumeration.max_count = 400;
 
-  for (int64_t trip : {int64_t{0}, int64_t{57}}) {  // 0 = no fault
+  enum class Cut { kNone, kInjected, kBudget };
+  for (Cut cut : {Cut::kNone, Cut::kInjected, Cut::kBudget}) {
     EnumerationErmResult base;
+    int64_t base_work = 0;
+    int64_t base_checkpoints = 0;
     bool first = true;
     for (int threads : {1, 2, 8}) {
-      for (EvalEngine engine : {EvalEngine::kInterpreted,
-                                EvalEngine::kCompiled, EvalEngine::kVm}) {
-        FaultInjector injector(trip > 0 ? trip : 1);
-        ResourceGovernor governor(GovernorLimits{}, nullptr,
-                                  trip > 0 ? &injector : nullptr);
-        EvalOptions eval = WithEngine(engine);
+      for (EvalEngine engine : kEngines) {
+        FaultInjector injector(57);
+        ResourceGovernor governor(
+            GovernorLimits{kNoLimit, cut == Cut::kBudget ? 57 : kNoLimit},
+            nullptr, cut == Cut::kInjected ? &injector : nullptr);
         EnumerationErmResult result =
             EnumerationErm(graph, examples, 0, enumeration,
-                           trip > 0 ? &governor : nullptr, threads, eval);
+                           cut == Cut::kNone ? nullptr : &governor, threads,
+                           WithEngine(engine));
         const std::string label =
-            "trip=" + std::to_string(trip) +
+            "cut=" + std::to_string(static_cast<int>(cut)) +
             " threads=" + std::to_string(threads) + " " +
             EvalEngineName(engine);
-        if (trip > 0) {
+        if (cut != Cut::kNone) {
           EXPECT_TRUE(IsInterrupted(result.status)) << label;
         } else {
           EXPECT_EQ(result.status, RunStatus::kComplete) << label;
         }
         if (first) {
           base = result;
+          base_work = governor.work_used();
+          base_checkpoints = governor.checkpoints_passed();
           first = false;
           continue;
         }
         EXPECT_EQ(result.training_error, base.training_error) << label;
         EXPECT_EQ(result.formulas_tried, base.formulas_tried) << label;
         EXPECT_EQ(result.status, base.status) << label;
+        EXPECT_EQ(governor.work_used(), base_work) << label;
+        EXPECT_EQ(governor.checkpoints_passed(), base_checkpoints) << label;
         ASSERT_EQ(result.hypothesis.formula != nullptr,
                   base.hypothesis.formula != nullptr)
             << label;
@@ -442,23 +603,17 @@ TEST(CompiledVsInterpreted, TrainingErrorMatchesAcrossModes) {
   hypothesis.param_vars = {"y1"};
   hypothesis.parameters = {Vertex{2}};
   hypothesis.formula = MustParseFormula("E(x1, y1) | Red(x1)");
-  const double reference =
-      TrainingError(graph, hypothesis, examples, Interpreted());
-  for (EvalEngine engine : kPlanEngines) {
-    EvalOptions options = WithEngine(engine);
-    EXPECT_EQ(TrainingError(graph, hypothesis, examples, options), reference)
-        << EvalEngineName(engine);
-    for (const LabeledExample& example : examples) {
-      EXPECT_EQ(hypothesis.Classify(graph, example.tuple, options),
-                hypothesis.Classify(graph, example.tuple, Interpreted()))
-          << EvalEngineName(engine);
-    }
+  const EvalOptions vm = WithEngine(EvalEngine::kVm);
+  EXPECT_EQ(TrainingError(graph, hypothesis, examples, vm),
+            TrainingError(graph, hypothesis, examples, Interpreted()));
+  for (const LabeledExample& example : examples) {
+    EXPECT_EQ(hypothesis.Classify(graph, example.tuple, vm),
+              hypothesis.Classify(graph, example.tuple, Interpreted()));
   }
 }
 
 // VM-specific surfaces: per-opcode dispatch counters, the lower/exec
-// timing split, superinstruction coverage, and the whole-evaluator
-// fallback for plans the lowerer rejects (MSO set quantifiers).
+// timing split, and superinstruction coverage.
 TEST(CompiledVsInterpreted, VmStatsExposeDispatchCountersAndTimers) {
   Rng rng(23);
   Graph graph = MakeErdosRenyi(10, 0.3, rng);
@@ -477,14 +632,12 @@ TEST(CompiledVsInterpreted, VmStatsExposeDispatchCountersAndTimers) {
   EXPECT_GT(dispatched, 0);
   EXPECT_GE(vm_stats.lower_ms, 0.0);
   EXPECT_GT(vm_stats.exec_ms, 0.0);
-  EXPECT_EQ(vm_stats.exec_ms, vm_stats.eval_ms);
-  // The tree engine never populates the VM surfaces.
-  EvalStats tree_stats;
-  EvaluateQuery(graph, formula, vars, tuple,
-                WithEngine(EvalEngine::kCompiled), &tree_stats);
-  EXPECT_TRUE(tree_stats.vm_op_dispatches.empty());
-  EXPECT_EQ(tree_stats.lower_ms, 0.0);
-  EXPECT_EQ(tree_stats.exec_ms, 0.0);
+  // The interpreter never populates the VM surfaces.
+  EvalStats interpreted_stats;
+  EvaluateQuery(graph, formula, vars, tuple, Interpreted(),
+                &interpreted_stats);
+  EXPECT_TRUE(interpreted_stats.vm_op_dispatches.empty());
+  EXPECT_EQ(interpreted_stats.lower_ms, 0.0);
 }
 
 TEST(CompiledVsInterpreted, VmLowersSuperinstructionsForGuardedShapes) {
@@ -496,22 +649,9 @@ TEST(CompiledVsInterpreted, VmLowersSuperinstructionsForGuardedShapes) {
         "exists y. (y = x & Red(y))", "exists>=2 y. E(x, y)"}) {
     CompiledFormula plan = CompileFormula(MustParseFormula(text), vars);
     LoweredPlan lowered = LowerPlan(plan);
-    ASSERT_TRUE(lowered.supported) << text;
     EXPECT_GT(lowered.superinstructions, 0) << text;
+    EXPECT_EQ(lowered.code.back().op, VmOp::kHaltTripped) << text;
   }
-}
-
-TEST(CompiledVsInterpreted, VmFallsBackOnMsoPlans) {
-  Graph graph = MakeCycle(5);
-  FormulaRef mso = Formula::ExistsSet(
-      "S", Formula::Exists("y", Formula::SetMember("y", "S")));
-  CompiledFormula plan = CompileFormula(mso, {});
-  LoweredPlan lowered = LowerPlan(plan);
-  EXPECT_FALSE(lowered.supported);
-  VmEvaluator evaluator(plan, lowered, graph);
-  EXPECT_TRUE(evaluator.uses_fallback());
-  EXPECT_EQ(evaluator.Eval({}),
-            EvaluateSentence(graph, mso, Interpreted()));
 }
 
 // PrepareFormulas + the prepared-span EnumerationErm overload must give
@@ -532,7 +672,7 @@ TEST(CompiledVsInterpreted, PreparedFormulasMatchUnpreparedGrid) {
   enumeration.max_count = 150;
   std::vector<FormulaRef> formulas = EnumerateFormulas(enumeration);
   ASSERT_GT(formulas.size(), 20u);
-  for (EvalEngine engine : kPlanEngines) {
+  for (EvalEngine engine : kEngines) {
     EvalOptions eval = WithEngine(engine);
     EnumerationErmResult plain = EnumerationErm(
         graph, examples, 0, std::span<const FormulaRef>(formulas), nullptr,
@@ -577,6 +717,40 @@ TEST(CompiledVsInterpretedDeath, AssignmentMisuseStillDies) {
                "rebinding unbound variable 'ghost'");
   EXPECT_DEATH(assignment.Unbind("ghost"),
                "unbinding unbound variable 'ghost'");
+}
+
+// Strict mode: the VM CHECK-fails as soon as it reaches a quantifier
+// guarded by a colour the graph lacks — here where the interpreter's
+// short-circuit (the first conjunct is never true) never evaluates the
+// atom.
+TEST(CompiledVsInterpretedDeath, MissingGuardColourDiesWhenReached) {
+  Graph graph = MakePath(4);
+  FormulaRef formula = MustParseFormula(
+      "exists y. ((exists z. (E(y, z) & !E(y, z))) & Ghost(y))");
+  const std::vector<std::string> vars = {"x"};
+  const std::vector<Vertex> tuple = {0};
+  EXPECT_FALSE(EvaluateQuery(graph, formula, vars, tuple, Interpreted()));
+  EXPECT_DEATH(EvaluateQuery(graph, formula, vars, tuple),
+               "colour 'Ghost' not in the graph's vocabulary");
+  EXPECT_DEATH(
+      EvaluateQuery(graph, MustParseFormula("forall y. (!Ghost(y) | "
+                                            "exists z. E(y, z))"),
+                    vars, tuple),
+      "colour 'Ghost' not in the graph's vocabulary");
+}
+
+TEST(CompiledVsInterpretedDeath, MsoMisuseDiesOnBothEngines) {
+  FormulaRef free_set = MustParseFormula("x in X");
+  const std::vector<std::string> vars = {"x"};
+  const std::vector<Vertex> tuple = {0};
+  for (EvalEngine engine : kEngines) {
+    EXPECT_DEATH(EvaluateQuery(MakePath(3), free_set, vars, tuple,
+                               WithEngine(engine)),
+                 "unbound set variable 'X'");
+    EXPECT_DEATH(EvaluateSentence(MakePath(23), MsoBipartiteSentence(),
+                                  WithEngine(engine)),
+                 "2\\^n");
+  }
 }
 
 TEST(CompiledVsInterpretedDeath, BothEnginesRejectInvalidVertices) {

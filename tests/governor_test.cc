@@ -20,6 +20,7 @@
 #include "mc/bottom_up.h"
 #include "mc/evaluator.h"
 #include "util/governor.h"
+#include "util/mem_budget.h"
 #include "util/rng.h"
 
 namespace folearn {
@@ -98,7 +99,55 @@ TEST(Governor, FaultInjectorTripsAtExactCheckpoint) {
   EXPECT_EQ(governor.checkpoints_passed(), 5);
 }
 
+TEST(Governor, PollLatchesDeadlineWithoutChargingWork) {
+  GovernorLimits limits;
+  limits.deadline_ms = 0;
+  ResourceGovernor governor(limits);
+  // The limits are probed every 256 polls: the 256th poll sees the
+  // expired deadline and latches it.
+  for (int i = 1; i < 256; ++i) EXPECT_TRUE(governor.Poll()) << i;
+  EXPECT_FALSE(governor.Poll());
+  EXPECT_EQ(governor.status(), RunStatus::kDeadlineExceeded);
+  EXPECT_FALSE(governor.Poll());
+  EXPECT_FALSE(governor.Checkpoint());
+  EXPECT_EQ(governor.work_used(), 0);
+  EXPECT_EQ(governor.checkpoints_passed(), 0);
+}
+
+TEST(Governor, PollLatchesCancellationAtTheNextProbe) {
+  std::atomic<bool> cancel{false};
+  ResourceGovernor governor(GovernorLimits{}, &cancel);
+  EXPECT_TRUE(governor.Checkpoint());
+  EXPECT_TRUE(governor.Poll());
+  cancel.store(true);
+  for (int i = 2; i < 256; ++i) EXPECT_TRUE(governor.Poll()) << i;
+  EXPECT_FALSE(governor.Poll());  // the 256th poll probes
+  EXPECT_EQ(governor.status(), RunStatus::kCancelled);
+  cancel.store(false);  // latched: clearing the flag does not resume
+  EXPECT_FALSE(governor.Poll());
+  EXPECT_FALSE(governor.Checkpoint());
+  EXPECT_EQ(governor.work_used(), 1);
+  EXPECT_EQ(governor.checkpoints_passed(), 1);
+}
+
+TEST(Governor, PollNeitherChargesWorkNorAdvancesTheInjector) {
+  FaultInjector injector(2);
+  GovernorLimits limits;
+  limits.max_work = 1;
+  ResourceGovernor governor(limits, nullptr, &injector);
+  for (int i = 0; i < 1000; ++i) EXPECT_TRUE(governor.Poll()) << i;
+  EXPECT_EQ(governor.work_used(), 0);
+  EXPECT_EQ(governor.checkpoints_passed(), 0);
+  EXPECT_EQ(governor.DeterministicAllowance(), 1);
+  EXPECT_TRUE(governor.Checkpoint());
+  for (int i = 0; i < 1000; ++i) EXPECT_TRUE(governor.Poll()) << i;
+  EXPECT_FALSE(governor.Checkpoint());  // the injector's 2nd checkpoint
+  EXPECT_EQ(governor.status(), RunStatus::kBudgetExhausted);
+  EXPECT_EQ(governor.checkpoints_passed(), 2);
+}
+
 TEST(Governor, NullHelpersAreUngoverned) {
+  EXPECT_TRUE(GovernorPoll(nullptr));
   EXPECT_TRUE(GovernorCheckpoint(nullptr));
   EXPECT_TRUE(GovernorCheckpoint(nullptr, 100));
   EXPECT_EQ(GovernorStatus(nullptr), RunStatus::kComplete);
@@ -350,17 +399,32 @@ TEST(GovernedVc, TripYieldsLowerBound) {
 
 // --- Governed evaluators -----------------------------------------------
 
+// Evaluation charges one work unit per tuple: a budget of 2 decides two
+// tuples of a batch and trips at the third, while one sentence always
+// fits a budget of 1.
 TEST(GovernedEvaluator, TinyWorkBudgetInterrupts) {
   Graph g = MakePath(8);
-  FormulaRef f = MustParseFormula("exists x. exists y. E(x, y)");
-  GovernorLimits limits;
-  limits.max_work = 2;
-  ResourceGovernor governor(limits);
-  EvalOptions options;
-  options.governor = &governor;
-  EvalStats stats;
-  EvaluateSentence(g, f, options, &stats);
-  EXPECT_EQ(stats.status, RunStatus::kBudgetExhausted);
+  FormulaRef f = MustParseFormula("exists y. E(x1, y)");
+  for (EvalEngine engine : {EvalEngine::kVm, EvalEngine::kInterpreted}) {
+    GovernorLimits limits;
+    limits.max_work = 2;
+    ResourceGovernor governor(limits);
+    EvalOptions options;
+    options.engine = engine;
+    options.governor = &governor;
+    EvalStats stats;
+    std::vector<bool> verdicts = EvaluateOnTuples(
+        g, f, QueryVars(1), AllTuples(g.order(), 1), options, &stats);
+    EXPECT_EQ(stats.status, RunStatus::kBudgetExhausted);
+    EXPECT_EQ(verdicts, std::vector<bool>({true, true}));
+    EXPECT_EQ(governor.work_used(), 3);
+
+    ResourceGovernor one(GovernorLimits{kNoLimit, 1});
+    options.governor = &one;
+    EXPECT_TRUE(EvaluateSentence(
+        g, MustParseFormula("exists x. exists y. E(x, y)"), options, &stats));
+    EXPECT_EQ(stats.status, RunStatus::kComplete);
+  }
 }
 
 TEST(GovernedEvaluator, CompleteWithinBudgetMatchesUngoverned) {
@@ -439,32 +503,40 @@ TEST(GovernedHardness, InjectedTripRecordsInterruption) {
 
 // --- MSO budget sizing -------------------------------------------------
 
-TEST(GovernedMso, WorkBoundIsSufficientBudget) {
+TEST(GovernedMso, WorkBoundCoversTheInterpretersBranches) {
   Graph g = MakeCycle(6);
   FormulaRef bipartite = MsoBipartiteSentence();
   int64_t bound = MsoEvaluationWorkBound(bipartite, g.order());
   EXPECT_GE(bound, int64_t{1} << g.order());
-  GovernorLimits limits;
-  limits.max_work = bound;
-  ResourceGovernor governor(limits);
   EvalOptions options;
-  options.governor = &governor;
+  options.engine = EvalEngine::kInterpreted;
   EvalStats stats;
-  bool value = EvaluateSentence(g, bipartite, options, &stats);
-  EXPECT_EQ(stats.status, RunStatus::kComplete);
-  EXPECT_TRUE(value);  // even cycle
+  EXPECT_TRUE(EvaluateSentence(g, bipartite, options, &stats));  // even
+  EXPECT_LE(stats.quantifier_branches, bound);
 }
 
+// Subset enumeration polls the governor: a memory trip (pushed over its
+// limit after the first probe, so it lands at the 256th poll) cuts the
+// one-unit sentence mid-enumeration on either engine.
 TEST(GovernedMso, SubsetEnumerationInterrupts) {
-  Graph g = MakeCycle(5);  // odd cycle: no early exit, all 2^5 subsets
-  GovernorLimits limits;
-  limits.max_work = 8;
-  ResourceGovernor governor(limits);
-  EvalOptions options;
-  options.governor = &governor;
-  EvalStats stats;
-  EvaluateSentence(g, MsoBipartiteSentence(), options, &stats);
-  EXPECT_EQ(stats.status, RunStatus::kBudgetExhausted);
+  Graph g = MakeCycle(9);  // odd cycle: no early exit, all 2^9 subsets
+  for (EvalEngine engine : {EvalEngine::kVm, EvalEngine::kInterpreted}) {
+    MemBudget budget(1000);
+    GovernorLimits limits;
+    limits.mem_budget = &budget;
+    ResourceGovernor governor(limits);
+    ASSERT_TRUE(governor.Checkpoint());
+    budget.Charge(2000);
+    EvalOptions options;
+    options.engine = engine;
+    options.governor = &governor;
+    EvalStats stats;
+    EvaluateSentence(g, MsoBipartiteSentence(), options, &stats);
+    EXPECT_EQ(stats.status, RunStatus::kResourceExhausted)
+        << EvalEngineName(engine);
+    EXPECT_EQ(governor.work_used(), 2) << EvalEngineName(engine);
+    budget.Release(2000);
+  }
 }
 
 }  // namespace

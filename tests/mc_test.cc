@@ -100,11 +100,20 @@ TEST(Evaluator, UnboundVariableDies) {
 
 TEST(Evaluator, StatsCountWork) {
   Graph g = MakePath(5);
+  FormulaRef sentence = MustParseFormula("forall x. exists y. E(x, y)");
+  // Atom and branch counts are interpreter-only diagnostics.
+  EvalOptions interpreted;
+  interpreted.engine = EvalEngine::kInterpreted;
   EvalStats stats;
-  EvaluateSentence(g, MustParseFormula("forall x. exists y. E(x, y)"), {},
-                   &stats);
+  EvaluateSentence(g, sentence, interpreted, &stats);
   EXPECT_GT(stats.quantifier_branches, 0);
   EXPECT_GT(stats.atom_evaluations, 0);
+  // A VM sink tallies opcode dispatches of the same program.
+  EvalStats vm_stats;
+  EvaluateSentence(g, sentence, {}, &vm_stats);
+  int64_t dispatches = 0;
+  for (int64_t count : vm_stats.vm_op_dispatches) dispatches += count;
+  EXPECT_GT(dispatches, 0);
 }
 
 TEST(Evaluator, EvaluateOnTuplesMatchesSingle) {

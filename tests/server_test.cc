@@ -172,7 +172,7 @@ TEST(PlanCacheTest, HitsAndBudgetInvariant) {
   CachedPlan second = cache.GetOrCompile(sentence, {}, options);
   EXPECT_EQ(first.plan.get(), second.plan.get());
   EXPECT_EQ(first.bytecode.get(), second.bytecode.get());
-  EXPECT_NE(first.bytecode, nullptr);  // default engine is the VM
+  EXPECT_NE(first.bytecode, nullptr);
   EXPECT_EQ(cache.hits(), 1);
   EXPECT_EQ(cache.misses(), 1);
   // Distinct formulas fill the budget; the invariant holds throughout.
@@ -185,34 +185,29 @@ TEST(PlanCacheTest, HitsAndBudgetInvariant) {
   EXPECT_GT(cache.evictions(), 0);
 }
 
-TEST(PlanCacheTest, EngineKeyedEntriesDoNotCollide) {
+TEST(PlanCacheTest, OptionsKeyedEntriesDoNotCollide) {
   PlanCache cache;
-  FormulaRef sentence = MustParseFormula("exists x. E(x, x)");
-  EvalOptions vm;
-  vm.engine = EvalEngine::kVm;
-  EvalOptions tree;
-  tree.engine = EvalEngine::kCompiled;
-  CachedPlan vm_entry = cache.GetOrCompile(sentence, {}, vm);
-  CachedPlan tree_entry = cache.GetOrCompile(sentence, {}, tree);
-  // Same formula, different engines: two distinct entries, the VM one
-  // carrying bytecode, the tree one not — neither evicts or shadows the
-  // other, and each is billed its own bytes.
+  FormulaRef sentence = MustParseFormula("exists x. Red(x)");
+  EvalOptions strict;
+  EvalOptions lenient;
+  lenient.missing_color_is_false = true;
+  CachedPlan strict_entry = cache.GetOrCompile(sentence, {}, strict);
+  CachedPlan lenient_entry = cache.GetOrCompile(sentence, {}, lenient);
+  // Same formula, different options: two distinct entries, each with its
+  // own bytecode — neither evicts or shadows the other, and each is
+  // billed its own bytes.
   EXPECT_EQ(cache.misses(), 2);
   EXPECT_EQ(cache.entries(), 2);
-  EXPECT_NE(vm_entry.plan.get(), tree_entry.plan.get());
-  EXPECT_NE(vm_entry.bytecode, nullptr);
-  EXPECT_EQ(tree_entry.bytecode, nullptr);
-  // An options fingerprint change is a distinct entry too.
-  EvalOptions vm_mcf = vm;
-  vm_mcf.missing_color_is_false = true;
-  cache.GetOrCompile(sentence, {}, vm_mcf);
-  EXPECT_EQ(cache.misses(), 3);
-  EXPECT_EQ(cache.entries(), 3);
-  // Repeats of every variant hit.
-  cache.GetOrCompile(sentence, {}, vm);
-  cache.GetOrCompile(sentence, {}, tree);
-  cache.GetOrCompile(sentence, {}, vm_mcf);
-  EXPECT_EQ(cache.hits(), 3);
+  EXPECT_NE(strict_entry.plan.get(), lenient_entry.plan.get());
+  EXPECT_NE(strict_entry.bytecode, nullptr);
+  EXPECT_NE(lenient_entry.bytecode, nullptr);
+  EXPECT_NE(strict_entry.bytecode.get(), lenient_entry.bytecode.get());
+  // Repeats of both variants hit their own entries.
+  EXPECT_EQ(cache.GetOrCompile(sentence, {}, strict).plan, strict_entry.plan);
+  EXPECT_EQ(cache.GetOrCompile(sentence, {}, lenient).plan,
+            lenient_entry.plan);
+  EXPECT_EQ(cache.hits(), 2);
+  EXPECT_EQ(cache.entries(), 2);
 }
 
 TEST(PlanCacheTest, OversizePlanServedUncached) {
@@ -1747,6 +1742,14 @@ void RunGoldenCorpus(GoldenTranscript& t, const TestProblem& problem,
   // ---- stats (before the requests below, whose outcome changed when
   // session ids became strictly parsed)
   t.Run("stats.valid", {{"op", "stats"}});
+
+  // ---- partial evaluate/query: one work unit per tuple lets a tiny
+  // max-work finish a one-tuple query, so a zero deadline cuts these
+  t.Run("evaluate.deadline-zero", With(evaluate, "deadline-ms", "0"));
+  t.Run("evaluate.by-text-deadline-zero",
+        With(evaluate_text, "deadline-ms", "0"));
+  t.Run("query.sentence-deadline-zero", With(sentence, "deadline-ms", "0"));
+  t.Run("query.handle-deadline-zero", With(handle, "deadline-ms", "0"));
 
   // ---- malformed session ids: strict decimal only
   t.Run("list-models.space-session", With(list_models, "session", " 5"));

@@ -182,16 +182,12 @@ class Args {
 // (1) and from mc's "sentence is false" (2).
 constexpr int kExitDegraded = 3;
 
-// Builds the optional governor from --timeout-ms / --max-work, wired to
-// the signal-driven cancellation flag. Returns false (after printing an
-// error) on invalid values. With `always` set a limitless governor is
-// created even when neither flag is given, so Ctrl-C can still cancel the
-// search cooperatively (learn uses this: its loops never route evaluation
-// through the governed slow lane, so an idle governor costs nothing but
-// checkpoint counting).
+// Builds the governor from --timeout-ms / --max-work (limitless when
+// neither is given), wired to the signal-driven cancellation flag so
+// Ctrl-C cancels a run cooperatively. Returns false (after printing an
+// error) on invalid values.
 bool MakeGovernor(const Args& args,
-                  std::optional<ResourceGovernor>& governor,
-                  bool always = false) {
+                  std::optional<ResourceGovernor>& governor) {
   int64_t timeout_ms = args.GetInt64("timeout-ms", kNoLimit);
   int64_t max_work = args.GetInt64("max-work", kNoLimit);
   if (timeout_ms != kNoLimit && timeout_ms < 0) {
@@ -202,7 +198,6 @@ bool MakeGovernor(const Args& args,
     std::fprintf(stderr, "--max-work must be positive\n");
     return false;
   }
-  if (!always && timeout_ms == kNoLimit && max_work == kNoLimit) return true;
   governor.emplace(GovernorLimits{timeout_ms, max_work},
                    &g_cancel_requested);
   g_governed_loop_active = 1;
@@ -233,18 +228,17 @@ int GetNonNegativeInt(const Args& args, const char* key, int fallback) {
   return value;
 }
 
-// Parses --eval vm|compiled|interpreted (default vm) into
-// EvalOptions::engine. Verdicts, stats, and governor cut points are
-// identical in all three modes; the interpreter is the slow reference
-// oracle, the compiled tree the mid lane, and the bytecode VM the
-// default. Exits 64 on any other value.
+// Parses --eval vm|interpreted (default vm) into EvalOptions::engine.
+// Verdicts and governor cut points are identical in both modes; the
+// interpreter is the slow reference oracle, the bytecode VM the default.
+// Exits 64 on any other value.
 EvalEngine GetEvalEngine(const Args& args) {
   std::string mode = args.Get("eval", "vm");
   std::optional<EvalEngine> engine = ParseEvalEngine(mode);
   if (!engine.has_value()) {
     std::fprintf(
         stderr,
-        "--eval must be 'vm', 'compiled', or 'interpreted', got '%s'\n",
+        "--eval must be 'vm' or 'interpreted', got '%s'\n",
         mode.c_str());
     std::exit(64);
   }
@@ -584,12 +578,32 @@ int CmdEval(const Args& args, ResourceGovernor* governor) {
   eval_options.governor = governor;
   eval_options.engine = GetEvalEngine(args);
   eval_options.cache_bytes = GetCacheBytes(args);
-  double err = TrainingError(graph, *hypothesis, data, eval_options);
-  std::printf("error: %.4f on %zu examples\n", err, data.size());
+  std::vector<std::vector<Vertex>> tuples;
+  tuples.reserve(data.size());
+  for (const LabeledExample& example : data) {
+    std::vector<Vertex>& tuple = tuples.emplace_back(example.tuple);
+    tuple.insert(tuple.end(), hypothesis->parameters.begin(),
+                 hypothesis->parameters.end());
+  }
+  // Only the examples decided before a governor trip are scored.
+  const std::vector<bool> verdicts = EvaluateOnTuples(
+      graph, hypothesis->formula, hypothesis->AllVars(), tuples,
+      eval_options);
+  size_t wrong = 0;
+  for (size_t i = 0; i < verdicts.size(); ++i) {
+    if (verdicts[i] != data[i].label) ++wrong;
+  }
+  const double err =
+      verdicts.empty() ? 0.0
+                       : static_cast<double>(wrong) /
+                             static_cast<double>(verdicts.size());
   if (GovernorInterrupted(governor)) {
+    std::printf("error: %.4f on %zu of %zu examples\n", err,
+                verdicts.size(), data.size());
     ReportInterruption(*governor);
     return kExitDegraded;
   }
+  std::printf("error: %.4f on %zu examples\n", err, data.size());
   return 0;
 }
 
@@ -681,9 +695,9 @@ int Usage() {
       "           either format, sniffed by content)\n"
       "every command accepts [--timeout-ms T] [--max-work W] and\n"
       "[--threads N] (0 = all cores; results are identical for any N);\n"
-      "eval and mc also accept [--eval vm|compiled|interpreted] (default\n"
-      "vm; results are identical, interpreted is the reference oracle,\n"
-      "vm is the bytecode engine); a run cut short emits best-so-far\n"
+      "eval and mc also accept [--eval vm|interpreted] (default vm;\n"
+      "results are identical, interpreted is the reference oracle, vm is\n"
+      "the bytecode engine); a run cut short emits best-so-far\n"
       "and exits 3; SIGINT/SIGTERM take the same path (best-so-far model\n"
       "+ final checkpoint, exit 3). learn --checkpoint persists the\n"
       "search frontier so a killed run can be continued with --resume\n"
@@ -739,17 +753,12 @@ int Main(int argc, char** argv) {
 
   InstallSignalHandlers();
 
-  // learn always runs governed (possibly limitless) so SIGINT/SIGTERM can
-  // cancel the scan cooperatively — best-so-far model, final checkpoint,
-  // exit 3. eval/mc attach the governor only when limits were requested,
-  // because a governor's mere presence routes formula evaluation through
-  // the slower mirrored lane; an ungoverned eval/mc dies on the signal's
-  // default disposition instead.
+  // learn, eval and mc always run governed (possibly limitless) so
+  // SIGINT/SIGTERM cancel them cooperatively — best-so-far result, final
+  // checkpoint, exit 3.
   std::optional<ResourceGovernor> governor;
-  if (!MakeGovernor(args, governor, /*always=*/command == "learn")) {
-    return 64;
-  }
-  ResourceGovernor* gov = governor.has_value() ? &*governor : nullptr;
+  if (!MakeGovernor(args, governor)) return 64;
+  ResourceGovernor* gov = &*governor;
 
   // generate and profile run no governed search loops; the limits are
   // accepted for interface uniformity but cannot trip there.
